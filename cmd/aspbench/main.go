@@ -10,7 +10,7 @@
 //	aspbench -exp fig7      silent periods with/without adaptation
 //	aspbench -exp fig8      HTTP throughput vs offered load (4 configs)
 //	aspbench -exp mpeg      server load vs number of viewers
-//	aspbench -exp engines   per-packet cost: interp vs bytecode vs jit vs native
+//	aspbench -exp engines   per-packet cost: interp vs jit vs native
 //	aspbench -exp all       everything above
 //
 // Grid experiments run their cells on -parallel worker goroutines

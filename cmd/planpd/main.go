@@ -224,7 +224,7 @@ func runDeploy(args []string) int {
 	daemon := fs.String("daemon", "http://127.0.0.1:8377", "planpd daemon base URL for bare node names")
 	srcPath := fs.String("src", "", "PLAN-P protocol source file")
 	version := fs.String("version", "", "version label (auto-assigned when empty)")
-	engine := fs.String("engine", "", "execution engine: jit, bytecode, interp")
+	engine := fs.String("engine", "", "execution engine: jit or interp")
 	verify := fs.String("verify", "", "verification policy: network, single, privileged")
 	timeout := fs.Duration("timeout", 30*time.Second, "overall rollout deadline")
 	allowIncompat := fs.Bool("allow-incompatible", false,
@@ -294,7 +294,7 @@ func runAdapt(args []string) int {
 	daemon := fs.String("daemon", "http://127.0.0.1:8377", "planpd daemon base URL for bare node names")
 	srcPath := fs.String("src", "", "PLAN-P protocol source file")
 	version := fs.String("version", "", "version label (auto-assigned when empty)")
-	engine := fs.String("engine", "", "execution engine: jit, bytecode, interp")
+	engine := fs.String("engine", "", "execution engine: jit or interp")
 	verify := fs.String("verify", "", "verification policy: network, single, privileged")
 	windows := fs.Int("windows", 3, "observation windows before promotion")
 	interval := fs.Duration("interval", 2*time.Second, "observation window length")

@@ -138,7 +138,7 @@ func TestTeardownUnregistersStream(t *testing.T) {
 }
 
 func TestEnginesAgreeOnSharing(t *testing.T) {
-	for _, eng := range []planprt.EngineKind{planprt.EngineInterp, planprt.EngineBytecode, planprt.EngineJIT} {
+	for _, eng := range []planprt.EngineKind{planprt.EngineInterp, planprt.EngineJIT} {
 		res, err := Run(Options{Viewers: 3, UseASPs: true, Engine: eng}, 10*time.Second)
 		if err != nil {
 			t.Fatalf("%s: %v", eng, err)

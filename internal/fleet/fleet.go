@@ -91,9 +91,9 @@ type Target struct {
 }
 
 // Spec describes what to roll out. Engine and Verify use planpd's
-// query vocabulary ("jit"/"bytecode"/"interp", "network"/"single"/
-// "privileged"); empty means the daemon default. An empty Version gets
-// an auto-assigned "v<id>" label.
+// query vocabulary ("jit"/"interp", "network"/"single"/"privileged");
+// empty means the daemon default. An empty Version gets an
+// auto-assigned "v<id>" label.
 type Spec struct {
 	Version string
 	Source  string
@@ -513,8 +513,6 @@ func specConfig(spec Spec) (planprt.Config, error) {
 	switch spec.Engine {
 	case "", "jit":
 		cfg.Engine = planprt.EngineJIT
-	case "bytecode":
-		cfg.Engine = planprt.EngineBytecode
 	case "interp":
 		cfg.Engine = planprt.EngineInterp
 	default:

@@ -107,7 +107,7 @@ func (s *sleepRecorder) all() []time.Duration {
 // returns a fleet handle whose injector sits on the controller's path.
 func newTestFleet(t *testing.T, n int) *testFleet {
 	t.Helper()
-	sim := netsim.NewSimulator(1)
+	sim := netsim.New(netsim.WithSeed(1))
 	tf := &testFleet{
 		nodes:   map[string]*netsim.Node{},
 		servers: map[string]*swapServer{},
@@ -607,9 +607,11 @@ func TestFleetValidation(t *testing.T) {
 	if _, err := c.Deploy(context.Background(), Spec{Source: forwarder}, dup); err == nil {
 		t.Error("duplicate target names must fail")
 	}
-	if _, err := c.Deploy(context.Background(),
-		Spec{Source: forwarder, Engine: "quantum"}, tf.targets); err == nil {
-		t.Error("unknown engine must fail")
+	for _, eng := range []string{"quantum", "bytecode"} {
+		if _, err := c.Deploy(context.Background(),
+			Spec{Source: forwarder, Engine: eng}, tf.targets); err == nil {
+			t.Errorf("unknown engine %q must fail", eng)
+		}
 	}
 	if len(c.Deployments()) != 0 {
 		t.Errorf("validation failures left %d records", len(c.Deployments()))

@@ -1,7 +1,6 @@
 // Package engine defines the common execution interface implemented by
-// the three PLAN-P execution engines — the portable tree-walking
-// interpreter (internal/lang/interp), the register bytecode VM
-// (internal/lang/bytecode), and the closure-specializing JIT
+// the two PLAN-P execution engines — the portable tree-walking
+// interpreter (internal/lang/interp) and the closure-specializing JIT
 // (internal/lang/jit) — and the shared state model for downloaded
 // protocols.
 //
@@ -30,7 +29,7 @@ type InvokeFunc func(ci int, ctx prims.Context, ps, ss, pkt value.Value) (value.
 
 // Compiled is a protocol prepared for execution by some engine.
 type Compiled interface {
-	// EngineName identifies the engine ("interp", "bytecode", "jit").
+	// EngineName identifies the engine ("interp", "jit").
 	EngineName() string
 	// Info returns the checked program this was compiled from.
 	Info() *typecheck.Info

@@ -106,7 +106,7 @@ func (g *exprGen) strExpr(depth int) string {
 
 // TestEnginesAgreeOnRandomPrograms is the differential test: 200 random
 // programs, one packet each, identical outcome (state or exception)
-// required across interp, bytecode, and jit.
+// required across interp and jit.
 func TestEnginesAgreeOnRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xC0FFEE))
 	for i := 0; i < 200; i++ {

@@ -22,7 +22,7 @@ import (
 // compiled implements engine.Compiled for the interpreter. "Compilation"
 // is the identity: the interpreter executes the checked AST directly,
 // which is why its code-generation time is ~0 and its per-packet cost is
-// the highest of the three engines.
+// higher than the JIT's.
 type compiled struct {
 	info *typecheck.Info
 }

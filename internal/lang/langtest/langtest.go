@@ -1,8 +1,7 @@
 // Package langtest provides shared test fixtures for the language
 // packages: a fake primitive context that records effects, and helpers
 // to compile one source text under every engine so behavioral
-// equivalence can be asserted across the interpreter, the bytecode VM,
-// and the JIT.
+// equivalence can be asserted between the interpreter and the JIT.
 package langtest
 
 import (
@@ -10,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"planp.dev/planp/internal/lang/bytecode"
 	"planp.dev/planp/internal/lang/engine"
 	"planp.dev/planp/internal/lang/interp"
 	"planp.dev/planp/internal/lang/jit"
@@ -115,9 +113,8 @@ func CheckSrc(t *testing.T, src string) *typecheck.Info {
 // Engines lists every engine's compile entry point.
 func Engines() map[string]func(*typecheck.Info) (engine.Compiled, error) {
 	return map[string]func(*typecheck.Info) (engine.Compiled, error){
-		"interp":   interp.Compile,
-		"bytecode": bytecode.Compile,
-		"jit":      jit.Compile,
+		"interp": interp.Compile,
+		"jit":    jit.Compile,
 	}
 }
 

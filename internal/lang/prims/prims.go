@@ -97,9 +97,6 @@ func Lookup(name string) int {
 // Get returns the primitive at index i.
 func Get(i int) *Prim { return &registry[i] }
 
-// Count returns the number of registered primitives.
-func Count() int { return len(registry) }
-
 // Names returns all primitive names (for documentation and tooling).
 func Names() []string {
 	out := make([]string, len(registry))

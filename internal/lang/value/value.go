@@ -1,6 +1,5 @@
 // Package value defines the run-time representation of PLAN-P values
-// shared by the interpreter, the bytecode VM, and the JIT-specialized
-// engine.
+// shared by the interpreter and the JIT-specialized engine.
 //
 // Values use a compact tagged struct rather than a Go interface so that
 // integers, booleans, characters, and hosts never allocate. Packet headers

@@ -1,7 +1,6 @@
 // Unified simulator construction: netsim.New(opts...) mirrors the
 // functional-options style of the public planp.NewNetwork so the two
-// layers read the same. NewSimulator(seed) remains as a thin shim for
-// existing call sites.
+// layers read the same.
 package netsim
 
 import (
@@ -104,12 +103,4 @@ func New(opts ...Option) *Simulator {
 		s.bus.Subscribe(o)
 	}
 	return s
-}
-
-// NewSimulator returns a simulator with the given RNG seed.
-//
-// Deprecated: use New(WithSeed(seed)); NewSimulator remains as a shim
-// for existing call sites and tests.
-func NewSimulator(seed int64) *Simulator {
-	return New(WithSeed(seed))
 }

@@ -257,14 +257,11 @@ func TestShardSealFreezesTopology(t *testing.T) {
 	Connect(legacy, x, y, LinkConfig{Bandwidth: 1e9})
 }
 
-// TestNewOptionsEquivalence: the unified constructor with defaults and
-// the deprecated shim build identical simulators, and WithObserver
-// matches a post-construction Subscribe.
+// TestNewOptionsEquivalence: WithObserver matches a post-construction
+// Subscribe.
 func TestNewOptionsEquivalence(t *testing.T) {
-	run := func(sim *Simulator, sink *obs.CountingSink) (string, int64) {
-		if sink != nil {
-			sim.Events().Subscribe(sink)
-		}
+	run := func(sim *Simulator, sink *obs.CountingSink) {
+		sim.Events().Subscribe(sink)
 		a := NewNode(sim, "a", MustAddr("10.0.0.1"))
 		b := NewNode(sim, "b", MustAddr("10.0.0.2"))
 		l := Connect(sim, a, b, LinkConfig{Bandwidth: 10e6})
@@ -275,18 +272,7 @@ func TestNewOptionsEquivalence(t *testing.T) {
 			a.Send(NewUDP(a.Addr, b.Addr, 1, 7, make([]byte, 50)).Own())
 		})
 		sim.Run()
-		return sim.Metrics().Render(), int64(sim.Now())
 	}
-	m1, t1 := run(New(WithSeed(42)), nil)
-	m2, t2 := run(NewSimulator(42), nil)
-	if m1 != m2 || t1 != t2 {
-		t.Errorf("New(WithSeed) and NewSimulator diverge: %q/%d vs %q/%d", m1, t1, m2, t2)
-	}
-	m3, t3 := run(New(WithSeed(99)), nil)
-	if m3 != m1 && t3 == t1 {
-		t.Logf("different seed changed metrics but not clock (fine)")
-	}
-
 	var viaOpt obs.CountingSink
 	sim := New(WithSeed(42), WithObserver(&viaOpt))
 	var viaSub obs.CountingSink

@@ -70,7 +70,7 @@ func NewServer(node substrate.Node, out io.Writer) *Server {
 // Handler returns the control API:
 //
 //	POST   /asp           install the PLAN-P source in the request body
-//	                      (query: engine=interp|bytecode|jit,
+//	                      (query: engine=interp|jit,
 //	                              verify=network|single|privileged,
 //	                              version=<label>)
 //	GET    /asp           protocol status (active/staged/prev versions)
@@ -127,8 +127,6 @@ func (s *Server) readProtocol(w http.ResponseWriter, r *http.Request) (src strin
 	switch e := r.URL.Query().Get("engine"); e {
 	case "", "jit":
 		cfg.Engine = planprt.EngineJIT
-	case "bytecode":
-		cfg.Engine = planprt.EngineBytecode
 	case "interp":
 		cfg.Engine = planprt.EngineInterp
 	default:

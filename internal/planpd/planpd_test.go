@@ -164,6 +164,19 @@ func TestInstallRejectsBrokenProtocol(t *testing.T) {
 	if cluster.Gateway.CurrentProcessor() != nil {
 		t.Fatalf("broken protocol ended up installed")
 	}
+
+	resp, err = http.Post(ctl.URL+"/asp?engine=bytecode", "text/plain", strings.NewReader(stageForwarder))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown engine: got %d, want 400", resp.StatusCode)
+	}
+	if cluster.Gateway.CurrentProcessor() != nil {
+		t.Fatalf("protocol for an unknown engine ended up installed")
+	}
 }
 
 func getJSON(t *testing.T, url string, v any) {

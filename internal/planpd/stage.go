@@ -117,27 +117,22 @@ func (s *Server) handleActivate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Install replaces the node's processor in one step, so packets go
+	// to either the old or the new version, never to the plain route.
+	// Only then does the displaced runtime give back its install slot.
+	st := s.staged
+	rt, err := planprt.Install(s.node, st.prog, s.out)
+	if err != nil {
+		// Activation failed (e.g. the single-node install limit). The
+		// displaced version still runs; the staged version stays for a
+		// retry or abort.
+		http.Error(w, fmt.Sprintf("activate rejected: %v", err), http.StatusUnprocessableEntity)
+		return
+	}
 	old := s.active
 	if old != nil {
 		old.rt.Uninstall()
 		old.rt = nil
-	}
-	st := s.staged
-	rt, err := planprt.Install(s.node, st.prog, s.out)
-	if err != nil {
-		// Activation failed (e.g. the single-node install limit). Put
-		// the displaced version back so a failed activate never leaves
-		// the node bare; the staged version stays for a retry or abort.
-		if old != nil {
-			if oldRT, restoreErr := planprt.Install(s.node, old.prog, s.out); restoreErr == nil {
-				old.rt = oldRT
-				s.active = old
-			} else {
-				s.active = nil
-			}
-		}
-		http.Error(w, fmt.Sprintf("activate rejected: %v", err), http.StatusUnprocessableEntity)
-		return
 	}
 	st.rt = rt
 	s.active = st

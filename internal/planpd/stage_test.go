@@ -6,10 +6,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"planp.dev/planp/internal/netsim"
 	"planp.dev/planp/internal/planprt"
+	"planp.dev/planp/internal/substrate"
 )
 
 const stageForwarder = `
@@ -25,7 +27,7 @@ channel network(ps : int, ss : unit, p : ip*udp*blob) is
 // stageNode boots one netsim node behind a control server.
 func stageNode(t *testing.T) (*netsim.Node, string) {
 	t.Helper()
-	sim := netsim.NewSimulator(1)
+	sim := netsim.New(netsim.WithSeed(1))
 	node := netsim.NewNode(sim, "n0", netsim.Addr(0x0A000001))
 	srv := httptest.NewServer(NewServer(node, io.Discard).Handler())
 	t.Cleanup(srv.Close)
@@ -85,9 +87,13 @@ func TestStageRejectsBrokenProtocol(t *testing.T) {
 	if node.Processor != nil {
 		t.Error("broken program touched the packet path")
 	}
-	// Stage without a version label is a client error.
+	// Stage without a version label is a client error, and so is an
+	// engine the daemon does not have.
 	if code, _ := call(t, http.MethodPost, base+"/asp/stage", stageForwarder); code != http.StatusBadRequest {
 		t.Errorf("unlabelled stage: %d, want 400", code)
+	}
+	if code, _ := call(t, http.MethodPost, base+"/asp/stage?version=v1&engine=bytecode", stageForwarder); code != http.StatusBadRequest {
+		t.Errorf("stage with unknown engine: %d, want 400", code)
 	}
 }
 
@@ -163,6 +169,56 @@ func TestStageActivateCycle(t *testing.T) {
 	code, body = call(t, http.MethodPost, base+"/asp/rollback?version=v2", "")
 	if code != http.StatusOK || body["rolledback"] != false || body["active"] != "v1" {
 		t.Fatalf("replayed rollback: %d %v", code, body)
+	}
+}
+
+// processorLog wraps a node and records every processor set on it.
+type processorLog struct {
+	substrate.Node
+	mu  sync.Mutex
+	set []substrate.Processor
+}
+
+func (l *processorLog) SetProcessor(p substrate.Processor) {
+	l.mu.Lock()
+	l.set = append(l.set, p)
+	l.mu.Unlock()
+	l.Node.SetProcessor(p)
+}
+
+// TestActivateSwapsAtomically: activating v2 over v1 replaces the
+// processor in one step — the node never falls back to the plain route
+// mid-swap — and still frees v1's single-node install slot, so a
+// rollback reinstalls v1.
+func TestActivateSwapsAtomically(t *testing.T) {
+	sim := netsim.New(netsim.WithSeed(1))
+	node := &processorLog{Node: netsim.NewNode(sim, "n0", netsim.Addr(0x0A000001))}
+	srv := httptest.NewServer(NewServer(node, io.Discard).Handler())
+	t.Cleanup(srv.Close)
+	base := srv.URL
+
+	for _, v := range []struct{ version, src string }{{"v1", stageForwarder}, {"v2", stageForwarderV2}} {
+		if code, _ := call(t, http.MethodPost, base+"/asp/stage?verify=single&version="+v.version, v.src); code != http.StatusOK {
+			t.Fatalf("stage %s: %d", v.version, code)
+		}
+		if code, _ := call(t, http.MethodPost, base+"/asp/activate?version="+v.version, ""); code != http.StatusOK {
+			t.Fatalf("activate %s: %d", v.version, code)
+		}
+	}
+	node.mu.Lock()
+	for i, p := range node.set {
+		if p == nil {
+			t.Errorf("SetProcessor call %d of %d removed the processor mid-swap", i+1, len(node.set))
+		}
+	}
+	node.mu.Unlock()
+
+	code, body := call(t, http.MethodPost, base+"/asp/rollback?version=v2", "")
+	if code != http.StatusOK || body["rolledback"] != true || body["active"] != "v1" {
+		t.Fatalf("rollback after swap: %d %v", code, body)
+	}
+	if node.CurrentProcessor() == nil {
+		t.Fatal("rollback left the node bare")
 	}
 }
 

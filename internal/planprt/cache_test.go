@@ -9,7 +9,7 @@ import (
 
 func TestCacheSharesArtifactsAcrossLoads(t *testing.T) {
 	ResetCache()
-	cfg := Config{Engine: EngineBytecode, Verify: VerifySingleNode}
+	cfg := Config{Engine: EngineInterp, Verify: VerifySingleNode}
 	p1, err := Load(balancer, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestCacheKeyDiscriminatesEngineAndPolicy(t *testing.T) {
 	if _, err := Load(balancer, Config{Engine: EngineJIT, Verify: VerifySingleNode}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(balancer, Config{Engine: EngineBytecode, Verify: VerifySingleNode}); err != nil {
+	if _, err := Load(balancer, Config{Engine: EngineInterp, Verify: VerifySingleNode}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(balancer, Config{Engine: EngineJIT, Verify: VerifyPrivileged}); err != nil {

@@ -12,12 +12,19 @@ import (
 	"planp.dev/planp/internal/substrate"
 )
 
-// Uninstall removes this runtime from its node, restoring standard
-// packet processing. Idempotent.
+// Uninstall releases this runtime's install slot and, if it still
+// processes the node's packets, restores standard packet processing.
+// A runtime another Install has already replaced on the node only gives
+// its slot back, which is what lets a version swap install the new
+// runtime first and release the old one after. Idempotent.
 func (rt *Runtime) Uninstall() {
+	if !rt.installed {
+		return
+	}
+	rt.installed = false
+	rt.prog.installs--
 	if rt.node.CurrentProcessor() == substrate.Processor(rt) {
 		rt.node.SetProcessor(nil)
-		rt.prog.installs--
 	}
 }
 

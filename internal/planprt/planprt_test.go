@@ -122,7 +122,7 @@ func TestEncodeRejectsMalformed(t *testing.T) {
 // host routes, mirroring §3.2's cluster front end.
 func topo(t *testing.T) (sim *netsim.Simulator, client, gw, srvA, srvB *netsim.Node) {
 	t.Helper()
-	sim = netsim.NewSimulator(42)
+	sim = netsim.New(netsim.WithSeed(42))
 	client = netsim.NewNode(sim, "client", netsim.MustAddr("10.0.1.1"))
 	gw = netsim.NewNode(sim, "gw", netsim.MustAddr("10.0.0.1"))
 	srvA = netsim.NewNode(sim, "srvA", netsim.MustAddr("10.0.0.2"))
@@ -159,7 +159,7 @@ initstate mkTable(64) is
 `
 
 func TestGatewayEndToEnd(t *testing.T) {
-	for _, eng := range []EngineKind{EngineInterp, EngineBytecode, EngineJIT} {
+	for _, eng := range []EngineKind{EngineInterp, EngineJIT} {
 		t.Run(string(eng), func(t *testing.T) {
 			sim, client, gw, srvA, srvB := topo(t)
 			rt, err := Download(gw, balancer, Config{Engine: eng, Verify: VerifySingleNode})
@@ -242,7 +242,7 @@ func TestPrivilegedDownloadBypassesRejection(t *testing.T) {
 }
 
 func TestDeliverAndPrintln(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.New(netsim.WithSeed(1))
 	a := netsim.NewNode(sim, "a", netsim.MustAddr("10.0.0.1"))
 	b := netsim.NewNode(sim, "b", netsim.MustAddr("10.0.0.2"))
 	l := netsim.Connect(sim, a, b, netsim.LinkConfig{Bandwidth: 10_000_000})
@@ -273,7 +273,7 @@ is
 }
 
 func TestOnRemoteToSelfDeliversLocally(t *testing.T) {
-	sim := netsim.NewSimulator(1)
+	sim := netsim.New(netsim.WithSeed(1))
 	a := netsim.NewNode(sim, "a", netsim.MustAddr("10.0.0.1"))
 	b := netsim.NewNode(sim, "b", netsim.MustAddr("10.0.0.2"))
 	l := netsim.Connect(sim, a, b, netsim.LinkConfig{Bandwidth: 10_000_000})
@@ -303,7 +303,7 @@ is
 
 func TestChannelTagDispatch(t *testing.T) {
 	// A tagged send is processed by the named channel at the next hop.
-	sim := netsim.NewSimulator(1)
+	sim := netsim.New(netsim.WithSeed(1))
 	a := netsim.NewNode(sim, "a", netsim.MustAddr("10.0.0.1"))
 	b := netsim.NewNode(sim, "b", netsim.MustAddr("10.0.0.2"))
 	l := netsim.Connect(sim, a, b, netsim.LinkConfig{Bandwidth: 10_000_000})
@@ -363,7 +363,9 @@ func TestUnmatchedFallsThrough(t *testing.T) {
 }
 
 func TestLoadUnknownEngine(t *testing.T) {
-	if _, err := Load(balancer, Config{Engine: "llvm", Verify: VerifySingleNode}); err == nil {
-		t.Error("unknown engine must fail")
+	for _, eng := range []EngineKind{"llvm", "bytecode"} {
+		if _, err := Load(balancer, Config{Engine: eng, Verify: VerifySingleNode}); err == nil {
+			t.Errorf("unknown engine %q must fail", eng)
+		}
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"io"
 	"time"
 
-	"planp.dev/planp/internal/lang/bytecode"
 	"planp.dev/planp/internal/lang/engine"
 	"planp.dev/planp/internal/lang/interp"
 	"planp.dev/planp/internal/lang/jit"
@@ -42,9 +41,8 @@ type EngineKind string
 
 // Engine kinds.
 const (
-	EngineInterp   EngineKind = "interp"
-	EngineBytecode EngineKind = "bytecode"
-	EngineJIT      EngineKind = "jit"
+	EngineInterp EngineKind = "interp"
+	EngineJIT    EngineKind = "jit"
 )
 
 // VerifyPolicy controls late checking at download time.
@@ -119,8 +117,6 @@ func compileWith(kind EngineKind) (func(*typecheck.Info) (engine.Compiled, error
 	switch kind {
 	case EngineInterp:
 		return interp.Compile, nil
-	case EngineBytecode:
-		return bytecode.Compile, nil
 	case EngineJIT, "":
 		return jit.Compile, nil
 	default:
@@ -251,6 +247,7 @@ func Install(node substrate.Node, p *Program, output io.Writer) (*Runtime, error
 	}
 	rt.inst = inst
 	node.SetProcessor(rt)
+	rt.installed = true
 	p.installs++
 	return rt, nil
 }
@@ -315,6 +312,8 @@ type Runtime struct {
 	curDst substrate.Addr
 
 	ct runtimeCounters
+
+	installed bool // holds one of prog's install slots; see Uninstall
 }
 
 // Stats returns a snapshot of this installation's activity counters.

@@ -7,7 +7,7 @@ import "testing"
 // identical artifact, not a re-extraction.
 func TestSignatureRidesCompileCache(t *testing.T) {
 	ResetCache()
-	cfg := Config{Engine: EngineBytecode, Verify: VerifySingleNode}
+	cfg := Config{Engine: EngineInterp, Verify: VerifySingleNode}
 	p1, err := Load(balancer, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestSignatureRidesCompileCache(t *testing.T) {
 // cached Load (pointer reads only).
 func BenchmarkLoadSignature(b *testing.B) {
 	ResetCache()
-	cfg := Config{Engine: EngineBytecode, Verify: VerifySingleNode}
+	cfg := Config{Engine: EngineInterp, Verify: VerifySingleNode}
 	if _, err := Load(balancer, cfg); err != nil {
 		b.Fatal(err)
 	}

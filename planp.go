@@ -12,9 +12,9 @@
 //
 // The pipeline mirrors the paper's runtime: source text is parsed and
 // type-checked, the safety analyses of §2.1 run at download time (late
-// checking), and the program is compiled by one of three engines — the
-// portable tree-walking interpreter, a register bytecode VM, or the
-// closure-specializing JIT derived from the interpreter (§2.2).
+// checking), and the program is compiled by one of two engines — the
+// portable tree-walking interpreter or the closure-specializing JIT
+// derived from it (§2.2).
 //
 // Quick start:
 //
@@ -52,9 +52,6 @@ const (
 	// Interp is the portable reference interpreter: slowest, simplest,
 	// the engine new language features are debugged in.
 	Interp = planprt.EngineInterp
-	// Bytecode compiles to a register VM: no AST walk, but still an
-	// instruction-dispatch loop.
-	Bytecode = planprt.EngineBytecode
 	// JIT is the closure-specializing compiler derived from the
 	// interpreter — the production engine, competitive with native Go
 	// handlers (the paper's headline result).
