@@ -1,38 +1,38 @@
-// planpd is the ASP download daemon: it boots the live HTTP cluster
-// (client — gateway — two servers) on the real-time backend and serves
-// the protocol-management API for every node, plus the fleet rollout
-// control plane. Download the load-balancing ASP onto the running
-// gateway and watch it spread real requests:
+// planpd is the ASP download daemon. It runs the daemons of a testbed
+// topology (internal/testbed) on the real-time backend; each serves
+// every local node's protocol-management API at /node/<name>/, the
+// fleet rollout and adaptation controllers, the remote chaos API and a
+// traffic generator.
+//
+// With no subcommand it runs the embedded demo topology: client,
+// gateway, server0 and server1 on one daemon. Download the
+// load-balancing ASP onto the running gateway and watch it spread real
+// requests:
 //
 //	planpd -listen 127.0.0.1:8377 &
 //	curl -X POST --data-binary @asp/http_gateway.planp \
-//	    'http://127.0.0.1:8377/asp?verify=single'
-//	curl -X POST 'http://127.0.0.1:8377/demo/requests?n=200'
-//	curl 'http://127.0.0.1:8377/stats'
+//	    'http://127.0.0.1:8377/node/gateway/asp?verify=single'
+//	curl -X POST \
+//	    'http://127.0.0.1:8377/inject?from=client&to=10.0.0.100&proto=tcp&n=200'
+//	curl 'http://127.0.0.1:8377/node/server0/stats'   # testbed.server{0,1}.http_served
 //
-// Each cluster node's API is also mounted at /node/<name>/ (gateway,
-// client, server0, server1), which is what the fleet controller
-// targets. Roll a protocol out to several nodes as a unit — two-phase,
-// with rollback on partial failure:
+// Roll a protocol out to several nodes as a unit — two-phase, with
+// rollback on partial failure — over HTTP or from the command line:
 //
 //	curl -X POST --data-binary @asp/audio_router.planp \
 //	    'http://127.0.0.1:8377/deploy?version=v1&nodes=gateway,server0'
-//	curl 'http://127.0.0.1:8377/deployments'
-//
-// The same rollout is available from the command line, against this or
-// any other planpd daemon:
-//
 //	planpd deploy -nodes gw=http://127.0.0.1:8377/node/gateway \
 //	    -src asp/audio_router.planp -version v1
 //
-// The daemon shuts down cleanly on SIGINT/SIGTERM: the HTTP listener
-// drains, then the cluster's node goroutines are quiesced and joined.
+// `planpd up -topo f.json [-daemon name]` runs any other topology;
+// `planpd adapt` and `planpd chaos` drive a running daemon. SIGINT or
+// SIGTERM shuts down cleanly: HTTP drains, adaptation runs finish or
+// roll back, then the node goroutines are joined.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -40,17 +40,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"planp.dev/planp/internal/adapt"
-	"planp.dev/planp/internal/chaos"
 	"planp.dev/planp/internal/fleet"
 	"planp.dev/planp/internal/lang/diag"
-	"planp.dev/planp/internal/planpd"
-	"planp.dev/planp/internal/substrate"
 	"planp.dev/planp/internal/testbed"
 )
 
@@ -67,155 +63,18 @@ func main() {
 			os.Exit(runChaos(os.Args[2:]))
 		}
 	}
-	os.Exit(runServe(os.Args[1:]))
+	os.Exit(runDemo(os.Args[1:]))
 }
 
-func runServe(args []string) int {
+// runDemo is `planpd` with no subcommand: `up` on the embedded demo
+// topology (testbed.Demo), one daemon serving the §3.2 HTTP cluster.
+func runDemo(args []string) int {
+	topo := testbed.Demo()
 	fs := flag.NewFlagSet("planpd", flag.ExitOnError)
-	listen := fs.String("listen", "127.0.0.1:8377", "control API listen address")
-	udp := fs.Bool("udp", false, "use loopback-UDP socket links instead of in-process channels")
-	history := fs.String("history", "", "deployment history file (JSON lines); rollout records survive daemon restarts")
+	fs.StringVar(&topo.Daemons[0].Control, "listen", topo.Daemons[0].Control, "control API listen address")
+	history := fs.String("history", "", "deployment history file prefix; the daemon appends .<name>")
 	fs.Parse(args)
-
-	cluster, err := planpd.NewCluster(*udp)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	defer cluster.Close()
-	cluster.Start()
-
-	mux := http.NewServeMux()
-
-	// Back-compat: the bare API drives the gateway node.
-	mux.Handle("/", planpd.NewServer(cluster.Gateway, os.Stdout).Handler())
-
-	// Per-node control APIs — the fleet controller's targets.
-	nodes := []substrate.Node{cluster.Gateway, cluster.Client, cluster.Servers[0], cluster.Servers[1]}
-	for _, node := range nodes {
-		prefix := "/node/" + node.Hostname()
-		mux.Handle(prefix+"/", http.StripPrefix(prefix, planpd.NewServer(node, os.Stdout).Handler()))
-	}
-
-	// The embedded fleet controller. Rollouts target the daemon's own
-	// per-node mounts unless the request names full URLs.
-	ctl := fleet.New(fleet.Config{Logf: log.Printf, HistoryPath: *history})
-	mux.Handle("/deployments", ctl.Handler())
-
-	// The adaptation controller: POST /adapt starts a self-promoting
-	// canary against the same fleet controller (so canary, promote, and
-	// rollback records all land in one history); GET /adapt watches it.
-	adaptCtl := adapt.New(adapt.Config{Fleet: ctl, Logf: log.Printf})
-	mux.Handle("/adapt", adaptCtl.Handler())
-
-	// The remote chaos control plane over the demo cluster: stage and
-	// play fault timelines (partitions, per-direction faults, clock
-	// skew) against the live links from another host.
-	chaosEng := chaos.New(cluster.Net, 1)
-	cluster.WireChaos(chaosEng)
-	mux.Handle("/chaos/", planpd.NewChaosServer(chaosEng).Handler())
-	mux.HandleFunc("/deploy", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		targets, err := parseTargets(r.URL.Query().Get("nodes"), "http://"+*listen)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		src, err := readBody(r)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		spec := fleet.Spec{
-			Version:           r.URL.Query().Get("version"),
-			Source:            src,
-			Engine:            r.URL.Query().Get("engine"),
-			Verify:            r.URL.Query().Get("verify"),
-			SourceName:        r.URL.Query().Get("src_name"),
-			AllowIncompatible: r.URL.Query().Get("allow_incompatible") == "true",
-		}
-		d, deployErr := ctl.Deploy(r.Context(), spec, targets)
-		status := http.StatusOK
-		resp := map[string]any{}
-		if deployErr != nil {
-			status = http.StatusConflict
-			resp["error"] = deployErr.Error()
-			// Compatibility-gate and stage rejections carry source spans;
-			// surface them structurally, like planpd's own 422 bodies.
-			if ds := diag.Of(deployErr); len(ds) > 0 {
-				status = http.StatusUnprocessableEntity
-				resp["diagnostics"] = ds
-			}
-		}
-		if d != nil {
-			resp["deployment"] = d.View()
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		json.NewEncoder(w).Encode(resp)
-	})
-
-	mux.HandleFunc("/demo/requests", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		n, err := strconv.Atoi(r.URL.Query().Get("n"))
-		if err != nil || n <= 0 || n > 1<<16 {
-			http.Error(w, "n must be in [1, 65536]", http.StatusBadRequest)
-			return
-		}
-		for i := 0; i < n; i++ {
-			cluster.SendRequest(uint16(10000 + i))
-		}
-		// Real-time backend: the burst is still in flight when the
-		// sends return. Settle before reading the counters so the
-		// response reflects this burst, not the previous one.
-		settled := cluster.Net.Quiesce(10 * time.Second)
-		s0, s1 := cluster.Served()
-		total, fromVirtual := cluster.Responses()
-		json.NewEncoder(w).Encode(map[string]any{
-			"sent": n, "settled": settled, "server0": s0, "server1": s1,
-			"responses": total, "from_virtual": fromVirtual,
-		})
-	})
-
-	srv := &http.Server{Addr: *listen, Handler: mux}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("planpd: control API on http://%s (links: %s)", *listen, linkKind(*udp))
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errc:
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	case <-ctx.Done():
-	}
-
-	// Graceful shutdown: drain in-flight control requests, then let the
-	// cluster's traffic settle before the deferred Close joins the node
-	// goroutines.
-	log.Printf("planpd: shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		log.Printf("planpd: HTTP shutdown: %v", err)
-	}
-	// In-flight canary runs finish (or are cut short at the deadline and
-	// roll back) before the substrate goes away beneath them.
-	if !adaptCtl.Drain(shutCtx) {
-		log.Printf("planpd: adaptation runs cut short")
-	}
-	if !cluster.Net.Quiesce(5 * time.Second) {
-		log.Printf("planpd: cluster did not quiesce; closing anyway")
-	}
-	log.Printf("planpd: bye")
-	return 0
+	return up(topo, "", *history, 0)
 }
 
 func runDeploy(args []string) int {
@@ -240,7 +99,7 @@ func runDeploy(args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	targets, err := parseTargets(*nodesFlag, *daemon)
+	targets, err := fleet.ParseTargets(*nodesFlag, nodeMount(*daemon))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -312,14 +171,14 @@ func runAdapt(args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	canary, err := parseTargets(*canaryFlag, *daemon)
+	canary, err := fleet.ParseTargets(*canaryFlag, nodeMount(*daemon))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
 	var baseline []fleet.Target
 	if *baselineFlag != "" {
-		if baseline, err = parseTargets(*baselineFlag, *daemon); err != nil {
+		if baseline, err = fleet.ParseTargets(*baselineFlag, nodeMount(*daemon)); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
@@ -386,9 +245,17 @@ func runUp(args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
+	return up(topo, *daemonName, *history, *probe)
+}
+
+// up runs the named daemon of topo (all of them when daemonName is
+// empty) in this process: build, start, and serve each control API;
+// on SIGINT/SIGTERM drain HTTP, drain adaptation runs, and close the
+// substrate (remote links BYE their peers on the way out).
+func up(topo *testbed.Topology, daemonName, history string, probe time.Duration) int {
 	var names []string
-	if *daemonName != "" {
-		names = []string{*daemonName}
+	if daemonName != "" {
+		names = []string{daemonName}
 	} else {
 		for _, d := range topo.Daemons {
 			names = append(names, d.Name)
@@ -399,9 +266,9 @@ func runUp(args []string) int {
 	var servers []*http.Server
 	errc := make(chan error, len(names))
 	for _, name := range names {
-		opts := testbed.Options{Out: os.Stdout, Logf: log.Printf, ProbeInterval: *probe}
-		if *history != "" {
-			opts.HistoryPath = *history + "." + name
+		opts := testbed.Options{Out: os.Stdout, Logf: log.Printf, ProbeInterval: probe}
+		if history != "" {
+			opts.HistoryPath = history + "." + name
 		}
 		d, err := testbed.NewDaemon(topo, name, opts)
 		if err != nil {
@@ -430,9 +297,6 @@ func runUp(args []string) int {
 	case <-ctx.Done():
 	}
 
-	// Graceful shutdown, same sequence per daemon as the single-cluster
-	// server: drain HTTP, drain adaptation runs, close the substrate
-	// (remote links BYE their peers on the way out).
 	log.Printf("planpd up: shutting down")
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -535,49 +399,10 @@ func runChaos(args []string) int {
 	return 0
 }
 
-// parseTargets decodes a comma-separated target list. Each entry is
-// either name=url or a bare node name, which resolves to the daemon's
-// per-node mount (<daemon>/node/<name>).
-func parseTargets(spec, daemon string) ([]fleet.Target, error) {
-	if spec == "" {
-		return nil, errors.New("no target nodes given")
+// nodeMount resolves bare node names to the daemon's per-node mount
+// (<daemon>/node/<name>).
+func nodeMount(daemon string) func(string) (string, bool) {
+	return func(name string) (string, bool) {
+		return strings.TrimRight(daemon, "/") + "/node/" + name, true
 	}
-	var targets []fleet.Target
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		if name, url, ok := strings.Cut(entry, "="); ok {
-			targets = append(targets, fleet.Target{Name: name, URL: url})
-			continue
-		}
-		if strings.Contains(entry, "://") {
-			return nil, fmt.Errorf("target %q: use name=url for explicit URLs", entry)
-		}
-		targets = append(targets, fleet.Target{
-			Name: entry,
-			URL:  strings.TrimRight(daemon, "/") + "/node/" + entry,
-		})
-	}
-	return targets, nil
-}
-
-func readBody(r *http.Request) (string, error) {
-	const maxSrc = 1 << 20
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSrc+1))
-	if err != nil {
-		return "", err
-	}
-	if len(body) > maxSrc {
-		return "", errors.New("protocol source too large")
-	}
-	return string(body), nil
-}
-
-func linkKind(udp bool) string {
-	if udp {
-		return "loopback-udp"
-	}
-	return "in-process"
 }

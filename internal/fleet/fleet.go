@@ -90,6 +90,35 @@ type Target struct {
 	URL  string
 }
 
+// ParseTargets decodes a comma-separated target list. Each entry is
+// either name=url or a bare node name, which resolve maps to the
+// node's control URL (false: no such node).
+func ParseTargets(spec string, resolve func(name string) (string, bool)) ([]Target, error) {
+	var targets []Target
+	for _, entry := range strings.Split(spec, ",") {
+		entry = strings.TrimSpace(entry)
+		if entry == "" {
+			continue
+		}
+		if name, url, ok := strings.Cut(entry, "="); ok {
+			targets = append(targets, Target{Name: name, URL: url})
+			continue
+		}
+		if strings.Contains(entry, "://") {
+			return nil, fmt.Errorf("target %q: use name=url for explicit URLs", entry)
+		}
+		url, ok := resolve(entry)
+		if !ok {
+			return nil, fmt.Errorf("target %q: no such node", entry)
+		}
+		targets = append(targets, Target{Name: entry, URL: url})
+	}
+	if len(targets) == 0 {
+		return nil, errors.New("no target nodes given")
+	}
+	return targets, nil
+}
+
 // Spec describes what to roll out. Engine and Verify use planpd's
 // query vocabulary ("jit"/"interp", "network"/"single"/"privileged");
 // empty means the daemon default. An empty Version gets an

@@ -625,3 +625,50 @@ func TestFleetValidation(t *testing.T) {
 		t.Error("no version label auto-assigned")
 	}
 }
+
+// TestParseTargets: name=url entries pass through, bare names go
+// through the resolver, and bare URLs, unknown names and empty lists
+// are errors.
+func TestParseTargets(t *testing.T) {
+	resolve := func(name string) (string, bool) {
+		if name == "gone" {
+			return "", false
+		}
+		return "http://d/node/" + name, true
+	}
+	cases := []struct {
+		name, spec string
+		want       []Target
+		err        string
+	}{
+		{"name=url", "gw=http://h:1/node/gw", []Target{{"gw", "http://h:1/node/gw"}}, ""},
+		{"bare-names", " s0, s1 ,", []Target{{"s0", "http://d/node/s0"}, {"s1", "http://d/node/s1"}}, ""},
+		{"mixed", "s0,gw=http://h", []Target{{"s0", "http://d/node/s0"}, {"gw", "http://h"}}, ""},
+		{"bare-url", "http://h:1/node/gw", nil, "use name=url"},
+		{"unknown-name", "s0,gone", nil, `"gone"`},
+		{"empty", "", nil, "no target nodes"},
+		{"only-commas", " , ", nil, "no target nodes"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := ParseTargets(tc.spec, resolve)
+			if tc.err != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("err = %v, want one mentioning %q", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(tc.want) {
+				t.Fatalf("got %v, want %v", got, tc.want)
+			}
+			for i := range got {
+				if got[i] != tc.want[i] {
+					t.Fatalf("got %v, want %v", got, tc.want)
+				}
+			}
+		})
+	}
+}

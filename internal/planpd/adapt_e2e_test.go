@@ -1,13 +1,10 @@
-package planpd
+package planpd_test
 
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,12 +14,12 @@ import (
 	"planp.dev/planp/internal/fleet"
 )
 
-// adaptRig is the live adaptation testbed: the §3.2 rtnet cluster with
-// chaos wired to its links, the gateway's planpd daemon behind real
-// HTTP, and an adaptation controller driving the fleet — wall-clock
-// end to end.
+// adaptRig is the live adaptation testbed: the demo daemon with chaos
+// wired to its links and nodes, the gateway's control API behind real
+// HTTP, and the daemon's adaptation controller driving its fleet —
+// wall-clock end to end.
 type adaptRig struct {
-	cluster *Cluster
+	*demoRig
 	eng     *chaos.Engine
 	targets []fleet.Target
 	fc      *fleet.Controller
@@ -31,47 +28,33 @@ type adaptRig struct {
 
 func newAdaptRig(t *testing.T) *adaptRig {
 	t.Helper()
-	cluster, err := NewCluster(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cluster.Close)
-	cluster.Start()
-
-	eng := chaos.New(cluster.Net, 11)
-	cluster.WireChaos(eng)
-
-	ctlSrv := httptest.NewServer(NewServer(cluster.Gateway, io.Discard).Handler())
-	t.Cleanup(ctlSrv.Close)
-
-	fc := fleet.New(fleet.Config{})
+	r := newDemoRig(t, false)
+	d := r.owner("gateway")
 	return &adaptRig{
-		cluster: cluster,
-		eng:     eng,
-		targets: []fleet.Target{{Name: "gateway", URL: ctlSrv.URL}},
-		fc:      fc,
-		ctl:     adapt.New(adapt.Config{Fleet: fc, Logf: t.Logf}),
+		demoRig: r,
+		eng:     d.Chaos,
+		targets: []fleet.Target{{Name: "gateway", URL: r.nodeURL("gateway")}},
+		fc:      d.Fleet,
+		ctl:     d.Adapt,
 	}
 }
 
 // traffic streams client requests at the virtual server until the
 // returned stop function is called — the load the guard metrics and
 // policy decisions observe.
-func (r *adaptRig) traffic() (stop func()) {
+func (r *adaptRig) traffic(t *testing.T) (stop func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
-	var port atomic.Uint32
-	port.Store(20000)
 	go func() {
 		defer close(done)
-		tick := time.NewTicker(2 * time.Millisecond)
+		tick := time.NewTicker(10 * time.Millisecond)
 		defer tick.Stop()
 		for {
 			select {
 			case <-ctx.Done():
 				return
 			case <-tick.C:
-				r.cluster.SendRequest(uint16(20000 + port.Add(1)%40000))
+				r.inject(t, 5)
 			}
 		}
 	}()
@@ -120,7 +103,7 @@ const lossyLinkGuard = "link.gateway:server0.fault_dropped_pkts<=0.5"
 func TestAdaptCanaryChaosRollbackE2E(t *testing.T) {
 	r := newAdaptRig(t)
 	r.deployPolicy(t, "roundrobin", "v1")
-	stop := r.traffic()
+	stop := r.traffic(t)
 	defer stop()
 
 	// Degrade the environment the canary will be judged in. The
@@ -170,7 +153,7 @@ func TestAdaptCanaryChaosRollbackE2E(t *testing.T) {
 func TestAdaptPolicyChaosSwitchE2E(t *testing.T) {
 	r := newAdaptRig(t)
 	r.deployPolicy(t, "roundrobin", "roundrobin-v0")
-	stop := r.traffic()
+	stop := r.traffic(t)
 	defer stop()
 
 	rr, _ := httpd.GatewayPolicyNamed("roundrobin")
@@ -232,9 +215,9 @@ func TestAdaptPolicyChaosSwitchE2E(t *testing.T) {
 
 	// After the heal, the switched gateway still serves: responses keep
 	// arriving from the virtual server.
-	before, _ := r.cluster.Responses()
+	before := r.responses.Load()
 	time.Sleep(500 * time.Millisecond)
-	after, fromVirtual := r.cluster.Responses()
+	after, fromVirtual := r.responses.Load(), r.fromVirtual.Load()
 	if after <= before {
 		t.Errorf("no responses after heal: %d -> %d", before, after)
 	}

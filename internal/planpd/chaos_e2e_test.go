@@ -1,11 +1,7 @@
-package planpd
+package planpd_test
 
 import (
 	"context"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
@@ -22,53 +18,27 @@ import (
 // rollout brings service back. This is the wall-clock counterpart of
 // the crash scenarios in the netsim robustness suite.
 func TestGatewayCrashRedeployE2E(t *testing.T) {
-	cluster, err := NewCluster(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	cluster.Start()
-
-	eng := chaos.New(cluster.Net, 7)
-	eng.Adopt(cluster.Gateway)
-
-	// The gateway's planpd daemon. On node restart the handler is
-	// replaced with a fresh server — a restarted daemon remembers
-	// nothing about staged or active versions.
-	var mu sync.Mutex
-	handler := NewServer(cluster.Gateway, io.Discard).Handler()
-	ctl := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		h := handler
-		mu.Unlock()
-		h.ServeHTTP(w, r)
-	}))
-	defer ctl.Close()
-
-	fc := fleet.New(fleet.Config{})
-	targets := []fleet.Target{{Name: "gateway", URL: ctl.URL}}
+	r := newDemoRig(t, false)
+	d := r.owner("gateway")
+	targets := []fleet.Target{{Name: "gateway", URL: r.nodeURL("gateway")}}
 	ctx := context.Background()
 
-	drive := func(base uint16, n int) {
+	drive := func(n int) {
 		t.Helper()
-		for i := 0; i < n; i++ {
-			cluster.SendRequest(base + uint16(i))
-		}
-		if !cluster.Net.Quiesce(10 * time.Second) {
-			t.Fatal("cluster did not quiesce")
-		}
+		r.inject(t, n)
+		r.settle(t, 10*time.Second)
 	}
 
 	// Rollout v1; the cluster balances and masquerades.
-	if _, err := fc.Deploy(ctx, fleet.Spec{Version: "v1", Source: asp.HTTPGateway, Verify: "single"}, targets); err != nil {
+	if _, err := d.Fleet.Deploy(ctx, fleet.Spec{Version: "v1", Source: asp.HTTPGateway, Verify: "single"}, targets); err != nil {
 		t.Fatalf("initial rollout: %v", err)
 	}
-	drive(20000, 40)
-	_, virtualV1 := cluster.Responses()
+	drive(40)
+	virtualV1 := r.fromVirtual.Load()
 	if virtualV1 < 30 {
 		t.Fatalf("v1 serving: %d virtual-server responses of 40 requests", virtualV1)
 	}
-	s0, s1 := cluster.Served()
+	s0, s1 := r.served(t, "server0"), r.served(t, "server1")
 	if s0 == 0 || s1 == 0 {
 		t.Fatalf("v1 not balancing: server0=%d server1=%d", s0, s1)
 	}
@@ -76,24 +46,22 @@ func TestGatewayCrashRedeployE2E(t *testing.T) {
 	// Crash the live gateway; it restarts bare and its daemon restarts
 	// with it. The protocol is gone, so virtual-server traffic dies at
 	// server0 unanswered.
-	eng.Apply(chaos.Crash("gateway"))
-	eng.Apply(chaos.Restart("gateway"))
-	mu.Lock()
-	handler = NewServer(cluster.Gateway, io.Discard).Handler()
-	mu.Unlock()
+	d.Chaos.Apply(chaos.Crash("gateway"))
+	d.Chaos.Apply(chaos.Restart("gateway"))
+	r.restartAPI("gateway")
 
-	drive(40000, 20)
-	_, virtualDark := cluster.Responses()
+	drive(20)
+	virtualDark := r.fromVirtual.Load()
 	if virtualDark != virtualV1 {
 		t.Fatalf("virtual server answered %d requests while the gateway was bare", virtualDark-virtualV1)
 	}
 
 	// Recovery: a fresh fleet rollout onto the restarted node.
-	if _, err := fc.Deploy(ctx, fleet.Spec{Version: "v2", Source: asp.HTTPGateway, Verify: "single"}, targets); err != nil {
+	if _, err := d.Fleet.Deploy(ctx, fleet.Spec{Version: "v2", Source: asp.HTTPGateway, Verify: "single"}, targets); err != nil {
 		t.Fatalf("recovery rollout: %v", err)
 	}
-	drive(50000, 40)
-	_, virtualV2 := cluster.Responses()
+	drive(40)
+	virtualV2 := r.fromVirtual.Load()
 	if virtualV2-virtualDark < 30 {
 		t.Fatalf("recovery serving: only %d virtual-server responses after redeploy", virtualV2-virtualDark)
 	}

@@ -307,3 +307,36 @@ func TestHealthzReportsActiveVersion(t *testing.T) {
 		t.Fatalf("healthz version = %v, want v7", body["version"])
 	}
 }
+
+// TestInstallRejectsBrokenProtocol: the download pipeline's late
+// checking surfaces as an HTTP-level rejection, not an install.
+func TestInstallRejectsBrokenProtocol(t *testing.T) {
+	node, base := stageNode(t)
+
+	resp, err := http.Post(base+"/asp", "text/plain",
+		strings.NewReader("fun broken( : int = nonsense"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("broken protocol: got %d, want 422", resp.StatusCode)
+	}
+	if node.CurrentProcessor() != nil {
+		t.Fatalf("broken protocol ended up installed")
+	}
+
+	resp, err = http.Post(base+"/asp?engine=bytecode", "text/plain", strings.NewReader(stageForwarder))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown engine: got %d, want 400", resp.StatusCode)
+	}
+	if node.CurrentProcessor() != nil {
+		t.Fatalf("protocol for an unknown engine ended up installed")
+	}
+}

@@ -10,13 +10,13 @@ package testbed
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"planp.dev/planp/internal/adapt"
@@ -28,10 +28,11 @@ import (
 	"planp.dev/planp/internal/substrate"
 )
 
-// discardPort is the testbed's traffic sink: every node binds it with
-// a delivery counter, so injected probe traffic is observable at the
-// far end through /stats.
-const discardPort = 7
+// The ports of every node's stock services (see NewDaemon).
+const (
+	discardPort = 7
+	httpPort    = 80
+)
 
 // Options tunes a daemon. The zero value works.
 type Options struct {
@@ -65,6 +66,10 @@ type Daemon struct {
 	remotes []*rtnet.RemoteIface
 	chs     *planpd.ChaosServer
 	out     io.Writer
+	// connSeq numbers /inject's TCP connections: each request gets a
+	// fresh client port, so per-connection gateway policies see
+	// distinct connections.
+	connSeq atomic.Uint32
 }
 
 // NewDaemon assembles daemon name's share of topo: local nodes,
@@ -105,10 +110,11 @@ func NewDaemon(topo *Topology, name string, opts Options) (*Daemon, error) {
 		}
 	}()
 
-	// Local nodes. Every node answers the discard port with a counter
-	// (`testbed.<node>.rx_pkts`), so /inject traffic is observable end
-	// to end through GET /stats without any protocol installed — the
-	// bare-network baseline an ASP download then changes.
+	// Local nodes. Every node counts discard-port datagrams
+	// (`testbed.<node>.rx_pkts`) and answered HTTP requests
+	// (`testbed.<node>.http_served`), so /inject traffic is observable
+	// end to end through GET /stats without any protocol installed —
+	// the bare-network baseline an ASP download then changes.
 	for _, n := range topo.Nodes {
 		if n.Daemon != name {
 			continue
@@ -117,6 +123,16 @@ func NewDaemon(topo *Topology, name string, opts Options) (*Daemon, error) {
 		node.Forwarding = n.Forwarding
 		rx := nw.Metrics().Counter("testbed." + n.Name + ".rx_pkts")
 		node.BindUDP(discardPort, func(*substrate.Packet) { rx.Add(1) })
+		served := nw.Metrics().Counter("testbed." + n.Name + ".http_served")
+		node.BindTCP(httpPort, func(req *substrate.Packet) {
+			if req.TCP.Flags&substrate.FlagSyn == 0 {
+				return
+			}
+			served.Add(1)
+			resp := substrate.NewTCP(node.Address(), req.IP.Src, httpPort, req.TCP.SrcPort, 0,
+				substrate.FlagAck|substrate.FlagFin, []byte("hello"))
+			node.Send(resp.Own())
+		})
 		d.nodes[n.Name] = node
 		d.Chaos.Adopt(node)
 	}
@@ -265,6 +281,8 @@ func (d *Daemon) WaitLinksUp(timeout time.Duration) []string {
 //	/adapt            self-promoting canary runs
 //	/chaos/...        remote chaos control plane (stage/start/stop/
 //	                  status) over this daemon's links and nodes
+//	/inject           POST: originate UDP probes or HTTP requests from
+//	                  a local node
 //	/links            cross-daemon link states (handshake, liveness,
 //	                  last structured rejection)
 //	/healthz          daemon identity, owned nodes, link summary
@@ -284,12 +302,12 @@ func (d *Daemon) Handler() http.Handler {
 	return mux
 }
 
-// handleInject originates probe traffic: POST /inject?from=<local
-// node>&to=<node>&n=N sends N UDP datagrams to the destination's
-// discard port, whose rx counter then climbs in the destination
-// daemon's /stats. The testbed's traffic generator: enough to light up
-// link metrics, exercise chaos faults, and feed adaptation guards
-// without any application protocol.
+// handleInject is the testbed's traffic generator: POST
+// /inject?from=<local node>&to=<node or address>&n=N[&proto=tcp] sends
+// N UDP probes to the destination's discard port, or with proto=tcp N
+// HTTP requests, each from a fresh client port. Enough to light up
+// link metrics, exercise chaos faults, feed adaptation guards and
+// drive a downloaded gateway without any application code.
 func (d *Daemon) handleInject(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -301,9 +319,18 @@ func (d *Daemon) handleInject(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("no local node %q", q.Get("from")), http.StatusBadRequest)
 		return
 	}
-	to, ok := d.Topo.NodeSpecOf(q.Get("to"))
-	if !ok {
-		http.Error(w, fmt.Sprintf("no node %q in topology", q.Get("to")), http.StatusBadRequest)
+	var dst substrate.Addr
+	if to, ok := d.Topo.NodeSpecOf(q.Get("to")); ok {
+		dst = substrate.MustAddr(to.Addr)
+	} else if addr, err := substrate.ParseAddr(q.Get("to")); err == nil {
+		dst = addr
+	} else {
+		http.Error(w, fmt.Sprintf("no node or address %q in topology", q.Get("to")), http.StatusBadRequest)
+		return
+	}
+	tcp := q.Get("proto") == "tcp"
+	if p := q.Get("proto"); !tcp && p != "" && p != "udp" {
+		http.Error(w, fmt.Sprintf("unknown proto %q (udp, tcp)", p), http.StatusBadRequest)
 		return
 	}
 	n := 1
@@ -315,41 +342,21 @@ func (d *Daemon) handleInject(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	dst := substrate.MustAddr(to.Addr)
 	for i := 0; i < n; i++ {
-		pkt := substrate.NewUDP(from.Address(), dst, discardPort, discardPort, []byte("probe"))
+		var pkt *substrate.Packet
+		if tcp {
+			// Client ports cycle through 1024..65535, clear of the
+			// stock services' ports.
+			port := uint16(1024 + d.connSeq.Add(1)%(1<<16-1024))
+			pkt = substrate.NewTCP(from.Address(), dst, port, httpPort, 0, substrate.FlagSyn, nil)
+		} else {
+			pkt = substrate.NewUDP(from.Address(), dst, discardPort, discardPort, []byte("probe"))
+		}
 		from.Send(pkt.Own())
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"from": q.Get("from"), "to": to.Name, "sent": n,
+		"from": q.Get("from"), "to": q.Get("to"), "sent": n,
 	})
-}
-
-// ResolveTargets decodes a comma-separated target list against the
-// WHOLE testbed: name=url entries pass through, bare node names
-// resolve through the topology to the owning daemon's /node mount —
-// including nodes owned by other daemons.
-func (d *Daemon) ResolveTargets(spec string) ([]fleet.Target, error) {
-	if spec == "" {
-		return nil, errors.New("no target nodes given")
-	}
-	var targets []fleet.Target
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		if name, url, ok := strings.Cut(entry, "="); ok {
-			targets = append(targets, fleet.Target{Name: name, URL: url})
-			continue
-		}
-		url, ok := d.Topo.NodeURL(entry)
-		if !ok {
-			return nil, fmt.Errorf("no node %q in topology %q", entry, d.Topo.Name)
-		}
-		targets = append(targets, fleet.Target{Name: entry, URL: url})
-	}
-	return targets, nil
 }
 
 func (d *Daemon) handleDeploy(w http.ResponseWriter, r *http.Request) {
@@ -357,7 +364,9 @@ func (d *Daemon) handleDeploy(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	targets, err := d.ResolveTargets(r.URL.Query().Get("nodes"))
+	// Bare node names resolve through the topology to the owning
+	// daemon's /node mount — including nodes on other daemons.
+	targets, err := fleet.ParseTargets(r.URL.Query().Get("nodes"), d.Topo.NodeURL)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -75,7 +75,13 @@ type proc struct {
 
 func spawn(t *testing.T, bin, topoPath, daemon string) *proc {
 	t.Helper()
-	cmd := exec.Command(bin, "up", "-topo", topoPath, "-daemon", daemon, "-probe", "50ms")
+	return start(t, bin, "up", "-topo", topoPath, "-daemon", daemon, "-probe", "50ms")
+}
+
+// start runs the planpd binary with args as a daemon process.
+func start(t *testing.T, bin string, args ...string) *proc {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
@@ -91,7 +97,7 @@ func spawn(t *testing.T, bin, topoPath, daemon string) *proc {
 		select {
 		case <-p.done:
 		case <-time.After(10 * time.Second):
-			t.Errorf("daemon %s did not die on SIGKILL", daemon)
+			t.Errorf("planpd %v did not die on SIGKILL", args)
 		}
 	})
 	return p
@@ -453,4 +459,49 @@ func TestMultiProcessTestbedE2E(t *testing.T) {
 
 	d2.term(t)
 	d1.term(t)
+}
+
+// TestServeDemoE2E drives `planpd` with no subcommand — the embedded
+// demo topology on one daemon — as a separate process: download the
+// gateway ASP onto the running gateway, send HTTP requests at the
+// virtual server through /inject, watch both servers answer, and shut
+// down cleanly on SIGTERM. Skipped under -short (builds the binary).
+func TestServeDemoE2E(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process e2e")
+	}
+	bin := buildPlanpd(t)
+	listen := freeTCPPorts(t, 1)[0]
+	base := "http://" + listen
+	p := start(t, bin, "-listen", listen)
+	waitHTTP(t, base+"/healthz")
+
+	src, err := os.ReadFile(filepath.Join(repoRoot(t), "asp", "http_gateway.planp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/node/gateway/asp?verify=single", "text/plain", bytes.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /node/gateway/asp: HTTP %d: %s", resp.StatusCode, body)
+	}
+
+	resp, err = http.Post(base+"/inject?from=client&to=10.0.0.100&proto=tcp&n=120", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("inject: HTTP %d: %s", resp.StatusCode, body)
+	}
+	for _, server := range []string{"server0", "server1"} {
+		waitNodeStat(t, base, server, "testbed."+server+".http_served",
+			func(v float64) bool { return v > 0 })
+	}
+	p.term(t)
 }

@@ -1,8 +1,9 @@
 // Package testbed assembles a DISTRIBUTED extensible network from
-// planpd daemons on separate hosts: the configuration layer that turns
-// "one daemon, one in-process cluster" into the paper's real shape —
-// every host runs a protocol-management daemon over its own live
-// nodes, and the network between them is real wire.
+// planpd daemons on separate hosts, in the paper's shape: every host
+// runs a protocol-management daemon over its own live nodes, and the
+// network between them is real wire. It is the one place a planpd
+// daemon is assembled; `planpd` alone runs the embedded demo topology
+// (Demo).
 //
 // A topology file (JSON) declares the daemons (one per host), the
 // nodes each daemon owns, and the links between nodes. Links whose two
@@ -23,6 +24,7 @@ package testbed
 
 import (
 	"bytes"
+	_ "embed"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -77,7 +79,7 @@ type LinkSpec struct {
 	// A and B name the endpoints.
 	A string `json:"a"`
 	B string `json:"b"`
-	// BandwidthBps is the link capacity (default 100 Mbps). Both ends
+	// BandwidthBps is the link capacity (0 or absent: 100 Mbps). Both ends
 	// of a cross-daemon link validate agreement in the handshake.
 	BandwidthBps int64 `json:"bandwidth_bps,omitempty"`
 	// AUDP/BUDP are the link's UDP endpoints ("host:port"), one per
@@ -127,6 +129,20 @@ func ParseTopology(b []byte) (*Topology, error) {
 	return &topo, nil
 }
 
+//go:embed demo.json
+var demoJSON []byte
+
+// Demo returns the embedded demo topology, the §3.2 HTTP cluster on
+// one daemon, which `planpd` with no subcommand runs. Each call returns
+// a fresh copy the caller may edit.
+func Demo() *Topology {
+	topo, err := ParseTopology(demoJSON)
+	if err != nil {
+		panic(err)
+	}
+	return topo
+}
+
 // LoadTopology reads and parses a topology file.
 func LoadTopology(path string) (*Topology, error) {
 	b, err := os.ReadFile(path)
@@ -144,6 +160,7 @@ func (t *Topology) validate() error {
 		return fmt.Errorf("testbed: topology %q has no nodes", t.Name)
 	}
 	daemons := map[string]bool{}
+	controls := map[string]string{}
 	for _, d := range t.Daemons {
 		if d.Name == "" || d.Control == "" {
 			return fmt.Errorf("testbed: daemon needs name and control endpoint (got %q, %q)", d.Name, d.Control)
@@ -151,7 +168,11 @@ func (t *Topology) validate() error {
 		if daemons[d.Name] {
 			return fmt.Errorf("testbed: duplicate daemon %q", d.Name)
 		}
+		if prev, dup := controls[d.Control]; dup {
+			return fmt.Errorf("testbed: daemons %q and %q share control address %s", prev, d.Name, d.Control)
+		}
 		daemons[d.Name] = true
+		controls[d.Control] = d.Name
 	}
 	nodes := map[string]NodeSpec{}
 	addrs := map[string]string{}
@@ -183,6 +204,9 @@ func (t *Topology) validate() error {
 		}
 		if l.A == l.B {
 			return fmt.Errorf("testbed: link %q connects a node to itself", l.Name())
+		}
+		if l.BandwidthBps < 0 {
+			return fmt.Errorf("testbed: link %q has negative bandwidth %d", l.Name(), l.BandwidthBps)
 		}
 		if links[l.Name()] || links[l.B+"-"+l.A] {
 			return fmt.Errorf("testbed: duplicate link %q", l.Name())

@@ -68,6 +68,8 @@ func TestTopologyValidation(t *testing.T) {
 		{"self-link", mutate(`"a": "gw", "b": "s0"`, `"a": "gw", "b": "gw"`), "itself"},
 		{"missing-udp", mutate(`"a_udp": "127.0.0.1:18101", `, ``), "needs a_udp and b_udp"},
 		{"no-daemons", `{"name":"t","daemons":[],"nodes":[],"links":[]}`, "no daemons"},
+		{"neg-bandwidth", mutate(`"a": "gw", "b": "s0", `, `"a": "gw", "b": "s0", "bandwidth_bps": -1, `), "negative bandwidth"},
+		{"dup-control", mutate(`"127.0.0.1:18002"`, `"127.0.0.1:18001"`), "share control address"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,4 +100,25 @@ func TestNextHops(t *testing.T) {
 	if hops["s0"] != "s0" || hops["s1"] != "s1" {
 		t.Fatalf("gw next hops = %v", hops)
 	}
+}
+
+// FuzzParseTopology: no input panics the parser, and every accepted
+// topology derives next hops from every node that are direct
+// neighbors.
+func FuzzParseTopology(f *testing.F) {
+	f.Add([]byte(validTopo))
+	f.Add(demoJSON)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		topo, err := ParseTopology(b)
+		if err != nil {
+			return
+		}
+		for _, n := range topo.Nodes {
+			for dst, via := range topo.NextHops(n.Name) {
+				if !topo.adjacent(n.Name, via) {
+					t.Fatalf("next hop %s->%s via non-neighbor %s", n.Name, dst, via)
+				}
+			}
+		}
+	})
 }
