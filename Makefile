@@ -33,14 +33,16 @@ race:
 
 verify: build vet staticcheck test race
 
-# Hot-path benchmarks: the event queue, the timing wheel (on and off,
+# Hot-path benchmarks: the §3.2 gateway invoke under each engine with
+# the native Go handler as its floor, the gateway's (host, port) table
+# lookup, the event queue, the timing wheel (on and off,
 # same load), batched link delivery, the copy-on-write fan-out, the
 # observed-vs-unobserved forwarding pair that bounds the event bus's
 # no-op overhead, and one full sweep through the parallel experiment
 # driver. Raw `go test -bench` text (benchstat-comparable) goes to
 # stdout; benchjson distills ns/op + allocs/op into BENCH_core.json,
 # preserving the pre-rewrite baseline block already in that file.
-HOT_BENCH = BenchmarkEventQueue$$|BenchmarkTimerWheel$$|BenchmarkTimerWheelOff$$|BenchmarkBatchedDelivery$$|BenchmarkPacketFanout$$|BenchmarkSimulatorForwarding$$|BenchmarkSimulatorForwardingObserved$$|BenchmarkAspbenchSweep$$
+HOT_BENCH = BenchmarkEngineInterpGateway$$|BenchmarkEngineJITGateway$$|BenchmarkEngineNativeGateway$$|BenchmarkTableGatewayKey$$|BenchmarkEventQueue$$|BenchmarkTimerWheel$$|BenchmarkTimerWheelOff$$|BenchmarkBatchedDelivery$$|BenchmarkPacketFanout$$|BenchmarkSimulatorForwarding$$|BenchmarkSimulatorForwardingObserved$$|BenchmarkAspbenchSweep$$
 
 bench:
 	$(GO) test -run '^$$' -bench '$(HOT_BENCH)' -benchmem -count=3 . | $(GO) run ./cmd/benchjson -o BENCH_core.json

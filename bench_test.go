@@ -29,6 +29,7 @@ import (
 	"planp.dev/planp/internal/apps/httpd"
 	"planp.dev/planp/internal/apps/mpeg"
 	"planp.dev/planp/internal/experiments"
+	"planp.dev/planp/internal/lang/engine"
 	"planp.dev/planp/internal/lang/langtest"
 	"planp.dev/planp/internal/lang/parser"
 	"planp.dev/planp/internal/lang/typecheck"
@@ -145,18 +146,25 @@ func BenchmarkMPEGPointToPoint4Viewers(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Engine ablation: per-packet invocation cost (§2.2, §2.4)
 
-func benchInvoke(b *testing.B, eng planprt.EngineKind, src string, pkt value.Value) {
-	b.Helper()
+// loadInvoke instantiates src's network channel under eng on a
+// recording context.
+func loadInvoke(tb testing.TB, eng planprt.EngineKind, src string) (*engine.Instance, *langtest.Ctx, int) {
+	tb.Helper()
 	p, err := planprt.Load(src, planprt.Config{Engine: eng, Verify: planprt.VerifyPrivileged})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ctx := langtest.NewCtx()
 	inst, err := p.Compiled.NewInstance(ctx)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	ci := p.Info.ChannelsByName("network")[0].Index
+	return inst, ctx, p.Info.ChannelsByName("network")[0].Index
+}
+
+func benchInvoke(b *testing.B, eng planprt.EngineKind, src string, pkt value.Value) {
+	b.Helper()
+	inst, ctx, ci := loadInvoke(b, eng, src)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -164,6 +172,25 @@ func benchInvoke(b *testing.B, eng planprt.EngineKind, src string, pkt value.Val
 		if err := inst.Invoke(ci, ctx, pkt); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestJITGatewayAllocs gates the allocations of one §3.2 gateway invoke
+// under the JIT: the tmem and tget key tuples, the rewritten IP header,
+// the outgoing packet tuple and the (ps, ss) result tuple.
+func TestJITGatewayAllocs(t *testing.T) {
+	inst, ctx, ci := loadInvoke(t, planprt.EngineJIT, asp.HTTPGateway)
+	pkt := gatewayPkt()
+	var err error
+	allocs := testing.AllocsPerRun(1000, func() {
+		ctx.Sent = ctx.Sent[:0]
+		err = inst.Invoke(ci, ctx, pkt)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 5 {
+		t.Errorf("JIT gateway invoke: %.1f allocs/op, want <= 5", allocs)
 	}
 }
 
@@ -189,43 +216,30 @@ func BenchmarkEngineJITCompute(b *testing.B) {
 	benchInvoke(b, planprt.EngineJIT, asp.BenchCompute, computePkt())
 }
 
-// BenchmarkEngineNativeGateway is the hand-written Go handler: the
-// paper's "built-in C" comparison point for the per-packet numbers.
-func BenchmarkEngineNativeGateway(b *testing.B) {
-	pkt := gatewayPkt()
-	ctx := langtest.NewCtx()
-	conns := map[string]value.Host{}
-	count := int64(0)
-	serverA := langtest.MustHost("10.0.0.81")
-	serverB := langtest.MustHost("10.0.0.109")
-	virtual := langtest.MustHost("10.0.0.100")
+// BenchmarkTableGatewayKey is the lookup behind the gateway ASP's tmem
+// and tget: a 1024-connection table keyed by (host, port) tuples.
+func BenchmarkTableGatewayKey(b *testing.B) {
+	tbl := value.NewTable(256)
+	for p := int64(0); p < 1024; p++ {
+		tbl.Put(value.TupleV(value.HostV(0x0A000101), value.Int(p)), value.HostV(0x0A000051))
+	}
+	elems := []value.Value{value.HostV(0x0A000101), value.Int(0)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx.Sent = ctx.Sent[:0]
-		iph := pkt.Vs[0].AsIP()
-		tcph := pkt.Vs[1].AsTCP()
-		if iph.Dst == virtual && tcph.DstPort == 80 {
-			key := value.EncodeKey(value.TupleV(value.HostV(iph.Src), value.Int(int64(tcph.SrcPort))))
-			srv, ok := conns[key]
-			if !ok {
-				if count%2 == 0 {
-					srv = serverA
-				} else {
-					srv = serverB
-				}
-				conns[key] = srv
-			}
-			if tcph.Flags&value.TCPSyn != 0 {
-				count++
-			}
-			h := *iph
-			h.Dst = srv
-			ctx.OnRemote("network", value.TupleV(value.IP(&h), pkt.Vs[1], pkt.Vs[2]))
-		} else {
-			ctx.OnRemote("network", pkt)
+		elems[1] = value.Int(int64(i & 1023))
+		k := value.TupleV(elems...)
+		if _, ok := tbl.Get(k); !ok {
+			b.Fatal("missing key")
 		}
 	}
+}
+
+// BenchmarkEngineNativeGateway is the hand-written Go handler: the
+// paper's "built-in C" comparison point for the per-packet numbers. It
+// is the same handler as the -exp engines native-go row.
+func BenchmarkEngineNativeGateway(b *testing.B) {
+	experiments.BenchNativeGateway(b, gatewayPkt())
 }
 
 // ---------------------------------------------------------------------------

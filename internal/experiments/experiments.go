@@ -323,7 +323,7 @@ func runEngines(w io.Writer, opts Options) error {
 		Headers: []string{"engine", "ns/op", "vs native", "allocs/op"},
 	}
 	native := testing.Benchmark(func(b *testing.B) {
-		benchNative(b, pkt)
+		BenchNativeGateway(b, pkt)
 	})
 	nativeNs := float64(native.NsPerOp())
 	for _, eng := range engines {
@@ -335,9 +335,10 @@ func runEngines(w io.Writer, opts Options) error {
 	}
 	tbl.AddRow("native-go", native.NsPerOp(), 1.0, native.AllocsPerOp())
 	fmt.Fprint(w, tbl)
-	fmt.Fprintln(w, "note: the gateway's cost is dominated by hash-table primitives shared by")
-	fmt.Fprintln(w, "all engines, which compresses the spread. The kernel below isolates pure")
-	fmt.Fprintln(w, "language execution, where specialization pays in full:")
+	fmt.Fprintln(w, "note: on the gateway every engine pays the same primitives (table lookups,")
+	fmt.Fprintln(w, "header rewrites, building the outgoing packet), which compresses the spread.")
+	fmt.Fprintln(w, "The kernel below isolates pure language execution, where specialization")
+	fmt.Fprintln(w, "pays in full:")
 	fmt.Fprintln(w)
 
 	tbl2 := &obs.Table{
@@ -424,22 +425,32 @@ func benchEngine(eng planprt.EngineKind, info *typecheck.Info, pkt value.Value) 
 	return res, nil
 }
 
-// benchNative measures the hand-written Go equivalent of the gateway's
-// per-packet work.
-func benchNative(b *testing.B, pkt value.Value) {
+// connKey is the native handler's connection-table key: the same
+// (client host, client port) pair the ASP keys its table by, as a Go
+// struct rather than an encoded string.
+type connKey struct {
+	src  value.Host
+	port uint16
+}
+
+// BenchNativeGateway measures the hand-written Go equivalent of the
+// gateway's per-packet work: the paper's "built-in C" floor for the
+// engine rows here and for BenchmarkEngineNativeGateway.
+func BenchNativeGateway(b *testing.B, pkt value.Value) {
 	b.ReportAllocs()
 	ctx := langtest.NewCtx()
-	conns := map[string]value.Host{}
+	conns := map[connKey]value.Host{}
 	count := int64(0)
 	serverA := langtest.MustHost("10.0.0.81")
 	serverB := langtest.MustHost("10.0.0.109")
 	virtual := langtest.MustHost("10.0.0.100")
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctx.Sent = ctx.Sent[:0]
-		iph := pkt.Vs[0].AsIP()
-		tcph := pkt.Vs[1].AsTCP()
+		iph := pkt.At(0).AsIP()
+		tcph := pkt.At(1).AsTCP()
 		if iph.Dst == virtual && tcph.DstPort == 80 {
-			key := value.EncodeKey(value.TupleV(value.HostV(iph.Src), value.Int(int64(tcph.SrcPort))))
+			key := connKey{src: iph.Src, port: tcph.SrcPort}
 			srv, ok := conns[key]
 			if !ok {
 				if count%2 == 0 {
@@ -454,7 +465,7 @@ func benchNative(b *testing.B, pkt value.Value) {
 			}
 			h := *iph
 			h.Dst = srv
-			ctx.OnRemote("network", value.TupleV(value.IP(&h), pkt.Vs[1], pkt.Vs[2]))
+			ctx.OnRemote("network", value.TupleV(value.IP(&h), pkt.At(1), pkt.At(2)))
 		} else {
 			ctx.OnRemote("network", pkt)
 		}

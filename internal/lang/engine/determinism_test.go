@@ -39,7 +39,7 @@ func TestEngineDeterminism(t *testing.T) {
 				}
 				var sends string
 				for _, s := range ctx.Sent {
-					sends += s.Pkt.Vs[0].AsIP().Dst.String() + ";"
+					sends += s.Pkt.At(0).AsIP().Dst.String() + ";"
 				}
 				return outcome{proto: inst.Proto.String(), sends: sends}
 			}

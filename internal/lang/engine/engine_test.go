@@ -63,7 +63,7 @@ func TestGatewayAcrossEngines(t *testing.T) {
 			if len(ctx.Sent) != 1 {
 				t.Fatalf("sent %d packets, want 1", len(ctx.Sent))
 			}
-			dst := ctx.Sent[0].Pkt.Vs[0].AsIP().Dst
+			dst := ctx.Sent[0].Pkt.At(0).AsIP().Dst
 			if want := langtest.MustHost("10.0.0.2"); dst != want {
 				t.Errorf("first request routed to %s, want %s", dst, want)
 			}
@@ -73,7 +73,7 @@ func TestGatewayAcrossEngines(t *testing.T) {
 			if err := inst.Invoke(ci, ctx, pkt2); err != nil {
 				t.Fatalf("invoke: %v", err)
 			}
-			dst2 := ctx.Sent[1].Pkt.Vs[0].AsIP().Dst
+			dst2 := ctx.Sent[1].Pkt.At(0).AsIP().Dst
 			if want := langtest.MustHost("10.0.0.3"); dst2 != want {
 				t.Errorf("second request routed to %s, want %s", dst2, want)
 			}
@@ -83,7 +83,7 @@ func TestGatewayAcrossEngines(t *testing.T) {
 			if err := inst.Invoke(ci, ctx, pkt3); err != nil {
 				t.Fatalf("invoke: %v", err)
 			}
-			dst3 := ctx.Sent[2].Pkt.Vs[0].AsIP().Dst
+			dst3 := ctx.Sent[2].Pkt.At(0).AsIP().Dst
 			if want := langtest.MustHost("10.0.0.2"); dst3 != want {
 				t.Errorf("follow-up packet routed to %s, want %s (sticky connection)", dst3, want)
 			}
@@ -93,7 +93,7 @@ func TestGatewayAcrossEngines(t *testing.T) {
 			if err := inst.Invoke(ci, ctx, pkt4); err != nil {
 				t.Fatalf("invoke: %v", err)
 			}
-			dst4 := ctx.Sent[3].Pkt.Vs[0].AsIP().Dst
+			dst4 := ctx.Sent[3].Pkt.At(0).AsIP().Dst
 			if want := langtest.MustHost("10.0.0.100"); dst4 != want {
 				t.Errorf("ssh packet routed to %s, want %s (pass-through)", dst4, want)
 			}

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -110,90 +111,152 @@ func (g *exprGen) strExpr(depth int) string {
 func TestEnginesAgreeOnRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xC0FFEE))
 	for i := 0; i < 200; i++ {
-		g := &exprGen{rng: rng}
-		src := fmt.Sprintf(`
+		checkScalarProgram(t, i, &exprGen{rng: rng})
+	}
+}
+
+// checkScalarProgram runs one random int-state program under every
+// engine and requires the same outcome.
+func checkScalarProgram(t *testing.T, i int, g *exprGen) {
+	t.Helper()
+	src := fmt.Sprintf(`
 channel network(ps : int, ss : int, p : ip*udp*blob) is
   (deliver(p); (%s, ss + 1))
 `, g.intExpr(4))
 
-		type outcome struct {
-			errText string
-			proto   int64
+	type outcome struct {
+		errText string
+		proto   int64
+	}
+	results := map[string]outcome{}
+	for name, c := range langtest.CompileAll(t, src) {
+		ctx := langtest.NewCtx()
+		inst, err := c.NewInstance(ctx)
+		if err != nil {
+			t.Fatalf("program %d (%s): NewInstance: %v\n%s", i, name, err, src)
 		}
-		results := map[string]outcome{}
-		compiled := langtest.CompileAll(t, src)
-		for name, c := range compiled {
-			ctx := langtest.NewCtx()
-			inst, err := c.NewInstance(ctx)
-			if err != nil {
-				t.Fatalf("program %d (%s): NewInstance: %v\n%s", i, name, err, src)
-			}
-			pkt := langtest.UDPPacket("10.0.0.1", "10.0.0.2", 7, 9, []byte("abcd"))
-			var o outcome
-			if err := inst.Invoke(0, ctx, pkt); err != nil {
-				o.errText = err.Error()
-			} else {
-				o.proto = inst.Proto.AsInt()
-			}
-			results[name] = o
+		pkt := langtest.UDPPacket("10.0.0.1", "10.0.0.2", 7, 9, []byte("abcd"))
+		var o outcome
+		if err := inst.Invoke(0, ctx, pkt); err != nil {
+			o.errText = err.Error()
+		} else {
+			o.proto = inst.Proto.AsInt()
 		}
-		ref := results["interp"]
-		for name, o := range results {
-			if o != ref {
-				t.Fatalf("program %d: %s=%+v interp=%+v\nsource:\n%s", i, name, o, ref, src)
-			}
+		results[name] = o
+	}
+	ref := results["interp"]
+	for name, o := range results {
+		if o != ref {
+			t.Fatalf("program %d: %s=%+v interp=%+v\nsource:\n%s", i, name, o, ref, src)
 		}
 	}
 }
 
 // TestEnginesAgreeOnRandomTablePrograms exercises tables and packet
-// rewriting under randomness.
+// rewriting under randomness, keyed by every table-key shape: scalar
+// ints, (host, int) pairs (packed when the int fits 32 bits, encoded
+// otherwise), strings, and nested tuples.
 func TestEnginesAgreeOnRandomTablePrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xBEEF))
-	for i := 0; i < 60; i++ {
-		g := &exprGen{rng: rng}
-		src := fmt.Sprintf(`
+	for i := 0; i < 120; i++ {
+		checkTableProgram(t, i, &exprGen{rng: rng})
+	}
+}
+
+// keyExpr emits a random table key and its type.
+func (g *exprGen) keyExpr() (typ, expr string) {
+	switch g.rng.Intn(5) {
+	case 0:
+		return "int", g.intExpr(3)
+	case 1:
+		return "host*int", fmt.Sprintf("(ipSrc(#1 p), %s)", g.intExpr(2))
+	case 2:
+		// Ints beyond 32 bits take the encoded-key path for pairs.
+		return "host*int", fmt.Sprintf("(10.0.0.9, %s * 3000000000)", g.intExpr(2))
+	case 3:
+		return "string", g.strExpr(2)
+	default:
+		return "(int*string)*host", fmt.Sprintf("((%s, %s), ipSrc(#1 p))", g.intExpr(2), g.strExpr(1))
+	}
+}
+
+// checkTableProgram runs one random table program over a packet stream
+// whose sources and ports repeat, so keys collide across packets, under
+// every engine and requires the same outcome.
+func checkTableProgram(t *testing.T, i int, g *exprGen) {
+	t.Helper()
+	ktyp, kexpr := g.keyExpr()
+	src := fmt.Sprintf(`
 channel network(ps : int, ss : (int) hash_table, p : ip*udp*blob)
 initstate mkTable(8) is
   let
-    val k : int = %s
+    val k : %s = %s
     val v : int = if tmem(ss, k) then tget(ss, k) else 0
   in
-    (tput(ss, k, v + 1);
+    ((if v = 2 then tdel(ss, k) else tput(ss, k, v + 1));
      OnRemote(network, (ipDestSet(#1 p, ipSrc(#1 p)), #2 p, #3 p));
      (ps + v, ss))
   end
-`, g.intExpr(3))
-		type outcome struct {
-			errs  int
-			proto int64
-			sent  int
+`, ktyp, kexpr)
+	type outcome struct {
+		errs, sent, size int
+		proto            int64
+	}
+	results := map[string]outcome{}
+	for name, c := range langtest.CompileAll(t, src) {
+		ctx := langtest.NewCtx()
+		inst, err := c.NewInstance(ctx)
+		if err != nil {
+			t.Fatalf("program %d (%s): %v", i, name, err)
 		}
-		results := map[string]outcome{}
-		for name, c := range langtest.CompileAll(t, src) {
-			ctx := langtest.NewCtx()
-			inst, err := c.NewInstance(ctx)
-			if err != nil {
-				t.Fatalf("program %d (%s): %v", i, name, err)
+		var o outcome
+		for j := 0; j < 8; j++ {
+			from := fmt.Sprintf("10.0.0.%d", 1+j%3)
+			pkt := langtest.UDPPacket(from, "10.0.0.2", uint16(j%2), 9, []byte("xy"))
+			if err := inst.Invoke(0, ctx, pkt); err != nil {
+				o.errs++
 			}
-			var o outcome
-			for j := 0; j < 5; j++ {
-				pkt := langtest.UDPPacket("10.0.0.1", "10.0.0.2", uint16(j), 9, []byte("xy"))
-				if err := inst.Invoke(0, ctx, pkt); err != nil {
-					o.errs++
-				}
-			}
-			o.proto = inst.Proto.AsInt()
-			o.sent = len(ctx.Sent)
-			results[name] = o
 		}
-		ref := results["interp"]
-		for name, o := range results {
-			if o != ref {
-				t.Fatalf("program %d: %s=%+v interp=%+v\nsource:\n%s", i, name, o, ref, src)
-			}
+		o.proto = inst.Proto.AsInt()
+		o.sent = len(ctx.Sent)
+		o.size = inst.Chans[0].AsTable().Len()
+		results[name] = o
+	}
+	ref := results["interp"]
+	for name, o := range results {
+		if o != ref {
+			t.Fatalf("program %d: %s=%+v interp=%+v\nsource:\n%s", i, name, o, ref, src)
 		}
 	}
+}
+
+// byteSource is a rand.Source that replays fuzz input: each Int63 takes
+// the next 8 bytes (zero once the input runs out), so mutating the input
+// steers exprGen's choices.
+type byteSource struct{ data []byte }
+
+func (s *byteSource) Int63() int64 {
+	var b [8]byte
+	n := copy(b[:], s.data)
+	s.data = s.data[n:]
+	return int64(binary.BigEndian.Uint64(b[:]) >> 1)
+}
+
+func (s *byteSource) Seed(int64) {}
+
+// FuzzEnginesAgree is the differential test under coverage-guided
+// fuzzing: the input drives exprGen to a scalar or a table program, and
+// the engines must agree on it. Seeds live in testdata/fuzz.
+func FuzzEnginesAgree(f *testing.F) {
+	f.Add([]byte("planp"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := &exprGen{rng: rand.New(&byteSource{data: data})}
+		if g.rng.Intn(2) == 0 {
+			checkScalarProgram(t, 0, g)
+		} else {
+			checkTableProgram(t, 0, g)
+		}
+	})
 }
 
 // TestDeepNesting guards stack/register handling at depth.

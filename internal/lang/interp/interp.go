@@ -72,7 +72,7 @@ func (c *compiled) NewInstance(ctx prims.Context) (*engine.Instance, error) {
 		frame[0], frame[1], frame[2] = ps, ss, pkt
 		inner := &evaluator{info: c.info, ctx: ctx, globals: ev.globals}
 		res := inner.eval(ch.Decl.Body, frame)
-		return res.Vs[0], res.Vs[1], nil
+		return res.At(0), res.At(1), nil
 	}
 	return engine.NewInstance(c, proto, chans, invoke), nil
 }
@@ -126,7 +126,7 @@ func (ev *evaluator) eval(e ast.Expr, frame []value.Value) value.Value {
 
 	case *ast.Proj:
 		t := ev.eval(e.Tuple, frame)
-		return t.Vs[e.Index-1]
+		return t.At(e.Index - 1)
 
 	case *ast.Let:
 		for i := range e.Binds {
@@ -239,9 +239,9 @@ func compareOrd(op string, l, r value.Value) value.Value {
 		}
 	case value.KindString:
 		switch {
-		case l.S < r.S:
+		case l.AsStr() < r.AsStr():
 			cmp = -1
-		case l.S > r.S:
+		case l.AsStr() > r.AsStr():
 			cmp = 1
 		}
 	default:

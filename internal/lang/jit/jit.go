@@ -158,7 +158,7 @@ func (c *compiled) NewInstance(ctx prims.Context) (inst *engine.Instance, err er
 		frame[0], frame[1], frame[2] = ps, ss, pkt
 		rm.ctx = ctx
 		res := c.bodies[ci](rm, frame)
-		return res.Vs[0], res.Vs[1], nil
+		return res.At(0), res.At(1), nil
 	}
 	return engine.NewInstance(c, proto, chans, invoke), nil
 }
@@ -226,9 +226,9 @@ func (cc *compiler) compileNode(e ast.Expr) code {
 		// Specialize the common #n-of-variable case to skip a call.
 		if v, ok := e.Tuple.(*ast.Var); ok && v.Slot >= 0 {
 			slot := v.Slot
-			return func(_ *machine, frame []value.Value) value.Value { return frame[slot].Vs[idx] }
+			return func(_ *machine, frame []value.Value) value.Value { return frame[slot].At(idx) }
 		}
-		return func(m *machine, frame []value.Value) value.Value { return tuple(m, frame).Vs[idx] }
+		return func(m *machine, frame []value.Value) value.Value { return tuple(m, frame).At(idx) }
 
 	case *ast.Let:
 		type bind struct {
@@ -365,7 +365,7 @@ func (cc *compiler) compileNode(e ast.Expr) code {
 	case *ast.Raise:
 		msg := cc.compile(e.Msg)
 		return func(m *machine, frame []value.Value) value.Value {
-			panic(value.Exception{Msg: msg(m, frame).S})
+			panic(value.Exception{Msg: msg(m, frame).AsStr()})
 		}
 
 	case *ast.Call:
@@ -432,7 +432,7 @@ func (cc *compiler) compileBinary(e *ast.Binary) code {
 		}
 	case "^":
 		return func(m *machine, frame []value.Value) value.Value {
-			return value.Str(l(m, frame).S + r(m, frame).S)
+			return value.Str(l(m, frame).AsStr() + r(m, frame).AsStr())
 		}
 	case "=", "<>":
 		neg := e.Op == "<>"
@@ -446,7 +446,7 @@ func (cc *compiler) compileBinary(e *ast.Binary) code {
 				}
 			case ast.TString:
 				return func(m *machine, frame []value.Value) value.Value {
-					return value.Bool((l(m, frame).S == r(m, frame).S) != neg)
+					return value.Bool((l(m, frame).AsStr() == r(m, frame).AsStr()) != neg)
 				}
 			}
 		}
@@ -466,7 +466,7 @@ func (cc *compiler) compileOrd(e *ast.Binary, l, r code) code {
 	case "<":
 		if isString {
 			return func(m *machine, frame []value.Value) value.Value {
-				return value.Bool(l(m, frame).S < r(m, frame).S)
+				return value.Bool(l(m, frame).AsStr() < r(m, frame).AsStr())
 			}
 		}
 		return func(m *machine, frame []value.Value) value.Value {
@@ -475,7 +475,7 @@ func (cc *compiler) compileOrd(e *ast.Binary, l, r code) code {
 	case "<=":
 		if isString {
 			return func(m *machine, frame []value.Value) value.Value {
-				return value.Bool(l(m, frame).S <= r(m, frame).S)
+				return value.Bool(l(m, frame).AsStr() <= r(m, frame).AsStr())
 			}
 		}
 		return func(m *machine, frame []value.Value) value.Value {
@@ -484,7 +484,7 @@ func (cc *compiler) compileOrd(e *ast.Binary, l, r code) code {
 	case ">":
 		if isString {
 			return func(m *machine, frame []value.Value) value.Value {
-				return value.Bool(l(m, frame).S > r(m, frame).S)
+				return value.Bool(l(m, frame).AsStr() > r(m, frame).AsStr())
 			}
 		}
 		return func(m *machine, frame []value.Value) value.Value {
@@ -493,7 +493,7 @@ func (cc *compiler) compileOrd(e *ast.Binary, l, r code) code {
 	default:
 		if isString {
 			return func(m *machine, frame []value.Value) value.Value {
-				return value.Bool(l(m, frame).S >= r(m, frame).S)
+				return value.Bool(l(m, frame).AsStr() >= r(m, frame).AsStr())
 			}
 		}
 		return func(m *machine, frame []value.Value) value.Value {

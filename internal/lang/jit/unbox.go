@@ -191,7 +191,7 @@ func (cc *compiler) compileInt(e ast.Expr) icode {
 	case *ast.Proj:
 		if v, ok := e.Tuple.(*ast.Var); ok && v.Slot >= 0 {
 			slot, idx := v.Slot, e.Index-1
-			return func(_ *machine, frame []value.Value) int64 { return frame[slot].Vs[idx].I }
+			return func(_ *machine, frame []value.Value) int64 { return frame[slot].At(idx).I }
 		}
 
 	case *ast.Unary: // "-"
@@ -297,7 +297,7 @@ func (cc *compiler) compileBool(e ast.Expr) bcode {
 		// fields (flags in protocol state) test without boxing.
 		if v, ok := e.Tuple.(*ast.Var); ok && v.Slot >= 0 {
 			slot, idx := v.Slot, e.Index-1
-			return func(_ *machine, frame []value.Value) bool { return frame[slot].Vs[idx].I != 0 }
+			return func(_ *machine, frame []value.Value) bool { return frame[slot].At(idx).I != 0 }
 		}
 
 	case *ast.Unary: // "not"

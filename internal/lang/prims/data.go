@@ -146,7 +146,7 @@ func init() {
 		}
 		return lst, nil
 	}, false, func(_ Context, a []value.Value) value.Value {
-		old := a[1].Vs
+		old := a[1].Elems()
 		elems := make([]value.Value, 0, len(old)+1)
 		elems = append(elems, a[0])
 		elems = append(elems, old...)
@@ -163,10 +163,10 @@ func init() {
 		}
 		return lst.Elem, nil
 	}, false, func(_ Context, a []value.Value) value.Value {
-		if len(a[0].Vs) == 0 {
+		if a[0].Len() == 0 {
 			value.Raise("hd: empty list")
 		}
-		return a[0].Vs[0]
+		return a[0].At(0)
 	})
 
 	poly("tl", func(args []ast.Type, _ ast.Type) (ast.Type, error) {
@@ -179,10 +179,10 @@ func init() {
 		}
 		return lst, nil
 	}, false, func(_ Context, a []value.Value) value.Value {
-		if len(a[0].Vs) == 0 {
+		if a[0].Len() == 0 {
 			value.Raise("tl: empty list")
 		}
-		return value.ListV(a[0].Vs[1:])
+		return value.ListV(a[0].Elems()[1:])
 	})
 
 	poly("listLen", func(args []ast.Type, _ ast.Type) (ast.Type, error) {
@@ -194,7 +194,7 @@ func init() {
 		}
 		return ast.IntT, nil
 	}, false, func(_ Context, a []value.Value) value.Value {
-		return value.Int(int64(len(a[0].Vs)))
+		return value.Int(int64(a[0].Len()))
 	})
 
 	poly("listNth", func(args []ast.Type, _ ast.Type) (ast.Type, error) {
@@ -211,10 +211,10 @@ func init() {
 		return lst.Elem, nil
 	}, false, func(_ Context, a []value.Value) value.Value {
 		i := a[1].AsInt()
-		if i < 0 || i >= int64(len(a[0].Vs)) {
-			value.Raise("listNth: index %d out of range (list has %d elements)", i, len(a[0].Vs))
+		if i < 0 || i >= int64(a[0].Len()) {
+			value.Raise("listNth: index %d out of range (list has %d elements)", i, a[0].Len())
 		}
-		return a[0].Vs[i]
+		return a[0].At(int(i))
 	})
 
 	poly("isEmpty", func(args []ast.Type, _ ast.Type) (ast.Type, error) {
@@ -226,7 +226,7 @@ func init() {
 		}
 		return ast.BoolT, nil
 	}, false, func(_ Context, a []value.Value) value.Value {
-		return value.Bool(len(a[0].Vs) == 0)
+		return value.Bool(a[0].Len() == 0)
 	})
 
 	poly("member", func(args []ast.Type, _ ast.Type) (ast.Type, error) {
@@ -245,7 +245,7 @@ func init() {
 		}
 		return ast.BoolT, nil
 	}, false, func(_ Context, a []value.Value) value.Value {
-		for _, e := range a[1].Vs {
+		for _, e := range a[1].Elems() {
 			if value.Equal(a[0], e) {
 				return value.Bool(true)
 			}

@@ -1,10 +1,12 @@
 package value
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestConstructorsAndAccessors(t *testing.T) {
@@ -27,7 +29,7 @@ func TestConstructorsAndAccessors(t *testing.T) {
 		t.Error("blob")
 	}
 	tup := TupleV(Int(1), Str("a"))
-	if len(tup.Vs) != 2 || tup.Vs[1].AsStr() != "a" {
+	if tup.Len() != 2 || tup.At(1).AsStr() != "a" {
 		t.Error("tuple")
 	}
 }
@@ -189,10 +191,10 @@ func randString(rng *rand.Rand) string {
 func deepCopy(v Value) Value {
 	switch v.Kind {
 	case KindBlob:
-		return Blob(append([]byte(nil), v.B...))
+		return Blob(append([]byte(nil), v.AsBlob()...))
 	case KindTuple, KindList:
-		elems := make([]Value, len(v.Vs))
-		for i, e := range v.Vs {
+		elems := make([]Value, v.Len())
+		for i, e := range v.Elems() {
 			elems[i] = deepCopy(e)
 		}
 		if v.Kind == KindTuple {
@@ -295,6 +297,166 @@ func TestKindString(t *testing.T) {
 	}
 	if !strings.Contains(Kind(200).String(), "200") {
 		t.Error("unknown kind should render numerically")
+	}
+}
+
+// TestValueSize pins the lean layout: a kind, one scalar word and one
+// pointer. A (host, int) table entry — the gateway's connection state —
+// must stay within 48 bytes of key plus value.
+func TestValueSize(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n > 32 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want <= 32", n)
+	}
+	if n := unsafe.Sizeof(tableKey{}) + unsafe.Sizeof(Value{}); n > 48 {
+		t.Errorf("table entry key+value = %d bytes, want <= 48", n)
+	}
+}
+
+// keyDomainValue builds a random equality value from small domains, so
+// that equal and nearly-equal values (one header field apart, ints
+// either side of the 32-bit boundary, a tuple versus a list of the same
+// elements) meet often.
+func keyDomainValue(rng *rand.Rand, depth int) Value {
+	ints := []int64{0, 1, -1, 80, math.MaxInt32, math.MaxInt32 + 1, math.MinInt32, math.MinInt32 - 1, math.MaxUint32, math.MinInt64}
+	hosts := []Host{0, 1, 0x0A000001, 0xFFFFFFFF, 0x80000000}
+	strs := []string{"", "a", "ab", "\x00", "i"}
+	pick := func(n int) int { return rng.Intn(n) }
+	two := func() bool { return rng.Intn(2) == 0 }
+	choices := 13
+	if depth <= 0 {
+		choices = 9
+	}
+	if depth < 0 {
+		choices = 5 // scalars only
+	}
+	switch pick(choices) {
+	case 0:
+		return Unit
+	case 1:
+		return Int(ints[pick(len(ints))])
+	case 2:
+		return Bool(two())
+	case 3:
+		return Char(byte(ints[pick(3)]))
+	case 4:
+		return HostV(hosts[pick(len(hosts))])
+	case 5:
+		return Str(strs[pick(len(strs))])
+	case 6:
+		return Blob([]byte(strs[pick(len(strs))]))
+	case 7:
+		h := &IPHeader{Src: hosts[pick(2)], Dst: hosts[pick(2)], Proto: 6, TTL: 64, Len: 40}
+		switch pick(4) {
+		case 0:
+			h.TTL = 63
+		case 1:
+			h.Len = 41
+		case 2:
+			h.ID = 7
+		}
+		return IP(h)
+	case 8:
+		if two() {
+			h := &TCPHeader{SrcPort: uint16(pick(2)), DstPort: 80}
+			switch pick(4) {
+			case 0:
+				h.Ack = 1
+			case 1:
+				h.Flags = TCPSyn
+			case 2:
+				h.Window = 512
+			}
+			return TCP(h)
+		}
+		return UDP(&UDPHeader{SrcPort: uint16(pick(2)), DstPort: 9, Len: 8 + pick(2)})
+	case 9, 10:
+		// A pair of scalars: the packed key shape.
+		return TupleV(keyDomainValue(rng, -1), keyDomainValue(rng, -1))
+	default:
+		elems := make([]Value, pick(4))
+		for i := range elems {
+			elems[i] = keyDomainValue(rng, depth-1)
+		}
+		if two() {
+			return TupleV(elems...)
+		}
+		return ListV(elems)
+	}
+}
+
+// storedKey is the key Put stores k under.
+func storedKey(k Value) tableKey {
+	if key, ok := packedKey(k); ok {
+		return key
+	}
+	return tableKey{s: EncodeKey(k)}
+}
+
+// TestTableKeysMatchEqual property-checks the table key against Equal
+// over every kind of equality value: two values share a key exactly when
+// they are Equal, and the lookup key equals the stored key.
+func TestTableKeysMatchEqual(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	pool := make([]Value, 1500)
+	keys := make([]tableKey, len(pool))
+	for i := range pool {
+		pool[i] = keyDomainValue(rng, 2)
+		keys[i] = storedKey(pool[i])
+		var scratch [64]byte
+		if lookupKey(pool[i], scratch[:0]) != keys[i] {
+			t.Fatalf("lookup key of %s differs from its stored key", pool[i])
+		}
+	}
+	for i, v := range pool {
+		for j := i; j < len(pool); j++ {
+			if eq, same := Equal(v, pool[j]), keys[i] == keys[j]; eq != same {
+				t.Fatalf("Equal(%s, %s) = %v but keys equal = %v", v, pool[j], eq, same)
+			}
+		}
+	}
+}
+
+// TestTableRoundTrip drives Put/Get/Delete with random keys against a
+// model that finds keys by Equal.
+func TestTableRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	type entry struct{ k, v Value }
+	var model []entry
+	find := func(k Value) int {
+		for i, e := range model {
+			if Equal(e.k, k) {
+				return i
+			}
+		}
+		return -1
+	}
+	tbl := NewTable(4)
+	for op := 0; op < 3000; op++ {
+		k := keyDomainValue(rng, 2)
+		i := find(k)
+		switch rng.Intn(3) {
+		case 0:
+			v := Int(int64(op))
+			tbl.Put(k, v)
+			if i < 0 {
+				model = append(model, entry{k, v})
+			} else {
+				model[i].v = v
+			}
+		case 1:
+			tbl.Delete(k)
+			if i >= 0 {
+				model = append(model[:i], model[i+1:]...)
+			}
+		default:
+			got, ok := tbl.Get(k)
+			if ok != (i >= 0) || ok && !Equal(got, model[i].v) {
+				t.Fatalf("op %d: Get(%s) = %s, %v; model has it: %v", op, k, got, ok, i >= 0)
+			}
+		}
+		if tbl.Len() != len(model) {
+			t.Fatalf("op %d: table has %d entries, model %d", op, tbl.Len(), len(model))
+		}
 	}
 }
 

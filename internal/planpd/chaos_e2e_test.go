@@ -43,12 +43,12 @@ func TestGatewayCrashRedeployE2E(t *testing.T) {
 		t.Fatalf("v1 not balancing: server0=%d server1=%d", s0, s1)
 	}
 
-	// Crash the live gateway; it restarts bare and its daemon restarts
-	// with it. The protocol is gone, so virtual-server traffic dies at
-	// server0 unanswered.
+	// Crash the live gateway; it restarts bare. The protocol is gone,
+	// so virtual-server traffic dies at server0 unanswered, and the
+	// node's API reports no active version.
 	d.Chaos.Apply(chaos.Crash("gateway"))
 	d.Chaos.Apply(chaos.Restart("gateway"))
-	r.restartAPI("gateway")
+	r.wantActive(t, "gateway", "")
 
 	drive(20)
 	virtualDark := r.fromVirtual.Load()
@@ -60,6 +60,7 @@ func TestGatewayCrashRedeployE2E(t *testing.T) {
 	if _, err := d.Fleet.Deploy(ctx, fleet.Spec{Version: "v2", Source: asp.HTTPGateway, Verify: "single"}, targets); err != nil {
 		t.Fatalf("recovery rollout: %v", err)
 	}
+	r.wantActive(t, "gateway", "v2")
 	drive(40)
 	virtualV2 := r.fromVirtual.Load()
 	if virtualV2-virtualDark < 30 {

@@ -25,7 +25,6 @@ import (
 type demoRig struct {
 	topo    *testbed.Topology
 	daemons map[string]*testbed.Daemon
-	apis    map[string]*atomic.Pointer[http.Handler] // daemon -> served API
 
 	responses, fromVirtual atomic.Int64
 }
@@ -71,8 +70,7 @@ func newDemoRig(t *testing.T, split bool) *demoRig {
 		t.Fatal(err)
 	}
 
-	r := &demoRig{topo: topo, daemons: map[string]*testbed.Daemon{},
-		apis: map[string]*atomic.Pointer[http.Handler]{}}
+	r := &demoRig{topo: topo, daemons: map[string]*testbed.Daemon{}}
 	// Build every daemon before starting any, so each remote link's
 	// first HELLO finds its peer's socket already bound.
 	for _, spec := range topo.Daemons {
@@ -95,13 +93,7 @@ func newDemoRig(t *testing.T, split bool) *demoRig {
 		}
 	})
 	for name, d := range r.daemons {
-		api := new(atomic.Pointer[http.Handler])
-		h := d.Handler()
-		api.Store(&h)
-		r.apis[name] = api
-		srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-			(*api.Load()).ServeHTTP(w, req)
-		})}
+		srv := &http.Server{Handler: d.Handler()}
 		go srv.Serve(lns[name])
 		t.Cleanup(func() { srv.Close() })
 		d.Start()
@@ -142,15 +134,6 @@ func (r *demoRig) nodeURL(node string) string {
 	return url
 }
 
-// restartAPI models the node's daemon restarting along with a crashed
-// node: its control API is remounted fresh, remembering no staged or
-// active versions.
-func (r *demoRig) restartAPI(node string) {
-	d := r.owner(node)
-	h := d.Handler()
-	r.apis[d.Spec.Name].Store(&h)
-}
-
 // inject sends n HTTP requests from the client to the virtual server
 // through the client daemon's traffic generator.
 func (r *demoRig) inject(t *testing.T, n int) {
@@ -180,6 +163,23 @@ func (r *demoRig) settle(t *testing.T, timeout time.Duration) {
 				t.Fatalf("daemon %s did not quiesce", name)
 			}
 		}
+	}
+}
+
+// wantActive checks the version node's API reports as active, on both
+// GET /asp and GET /healthz.
+func (r *demoRig) wantActive(t *testing.T, node, version string) {
+	t.Helper()
+	var status struct {
+		Active string `json:"active"`
+	}
+	getJSON(t, r.nodeURL(node)+"/asp", &status)
+	var health struct {
+		Version string `json:"version"`
+	}
+	getJSON(t, r.nodeURL(node)+"/healthz", &health)
+	if status.Active != version || health.Version != version {
+		t.Fatalf("%s: /asp active %q, /healthz version %q; want %q", node, status.Active, health.Version, version)
 	}
 }
 

@@ -158,6 +158,7 @@ func (s *Server) install(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.reconcile()
 	if s.node.CurrentProcessor() != nil {
 		http.Error(w, "node already runs a protocol (DELETE /asp first, or stage/activate to upgrade)", http.StatusConflict)
 		return
@@ -189,6 +190,7 @@ func (s *Server) install(w http.ResponseWriter, r *http.Request) {
 func (s *Server) uninstall(w http.ResponseWriter) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.reconcile()
 	if s.active == nil {
 		http.Error(w, "no protocol installed", http.StatusNotFound)
 		return
@@ -209,6 +211,7 @@ func (s *Server) uninstall(w http.ResponseWriter) {
 func (s *Server) status(w http.ResponseWriter) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.reconcile()
 	resp := map[string]any{
 		"node":   s.node.Hostname(),
 		"asp":    s.active != nil,
@@ -230,6 +233,20 @@ func versionOf(in *installed) string {
 		return ""
 	}
 	return in.version
+}
+
+// reconcile forgets the active version once the node no longer runs it.
+// A crash (substrate.Crasher) removes the node's processor without going
+// through this server, and the node restarts bare; from then on the
+// server must report no active version. The lost runtime gives back its
+// install slot. Callers hold s.mu.
+func (s *Server) reconcile() {
+	if s.active == nil || s.node.CurrentProcessor() == substrate.Processor(s.active.rt) {
+		return
+	}
+	s.active.rt.Uninstall()
+	s.active.rt = nil
+	s.active = nil
 }
 
 // handleStats serves a registry snapshot stamped with a monotonic
@@ -262,6 +279,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
+	s.reconcile()
 	version := versionOf(s.active)
 	var sig any
 	if s.active != nil {

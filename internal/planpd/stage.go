@@ -98,6 +98,7 @@ func (s *Server) handleActivate(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.reconcile()
 	if s.active != nil && s.active.version == version {
 		// Idempotent replay: this version already runs.
 		writeJSON(w, http.StatusOK, map[string]any{
@@ -163,6 +164,7 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.reconcile()
 	if s.active == nil || s.active.version != version {
 		writeJSON(w, http.StatusOK, map[string]any{
 			"rolledback": false, "active": versionOf(s.active), "node": s.node.Hostname(),

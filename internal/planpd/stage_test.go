@@ -308,6 +308,35 @@ func TestHealthzReportsActiveVersion(t *testing.T) {
 	}
 }
 
+// TestCrashForgetsActiveVersion: a crash removes the node's protocol
+// behind the server's back. From then on /asp and /healthz report no
+// active version, and the restarted node takes a fresh activation.
+func TestCrashForgetsActiveVersion(t *testing.T) {
+	node, base := stageNode(t)
+	call(t, http.MethodPost, base+"/asp/stage?version=v1", stageForwarder)
+	if code, _ := call(t, http.MethodPost, base+"/asp/activate?version=v1", ""); code != http.StatusOK {
+		t.Fatalf("activate v1: %d", code)
+	}
+	node.Crash()
+	node.Restart()
+	if active, _, _ := aspState(t, base); active != "" {
+		t.Fatalf("GET /asp after crash: active = %q, want none", active)
+	}
+	if _, body := call(t, http.MethodGet, base+"/healthz", ""); body["version"] != "" || body["asp"] != false {
+		t.Fatalf("healthz after crash: %v", body)
+	}
+	if code, _ := call(t, http.MethodDelete, base+"/asp", ""); code != http.StatusNotFound {
+		t.Fatalf("DELETE /asp after crash: %d, want 404", code)
+	}
+	call(t, http.MethodPost, base+"/asp/stage?version=v2", stageForwarderV2)
+	if code, _ := call(t, http.MethodPost, base+"/asp/activate?version=v2", ""); code != http.StatusOK {
+		t.Fatalf("activate v2 after restart: %d", code)
+	}
+	if active, _, _ := aspState(t, base); active != "v2" || node.CurrentProcessor() == nil {
+		t.Fatalf("after redeploy: active = %q, processor %v", active, node.CurrentProcessor())
+	}
+}
+
 // TestInstallRejectsBrokenProtocol: the download pipeline's late
 // checking surfaces as an HTTP-level rejection, not an install.
 func TestInstallRejectsBrokenProtocol(t *testing.T) {

@@ -25,6 +25,16 @@ import (
 	"planp.dev/planp/internal/substrate"
 )
 
+// packetBox holds everything a decoded packet tuple points at, so that
+// Decode builds a packet of up to len(elems) components in one
+// allocation.
+type packetBox struct {
+	ip    value.IPHeader
+	tcp   value.TCPHeader
+	udp   value.UDPHeader
+	elems [4]value.Value
+}
+
 // Decode attempts to decode pkt as a value of packet type t. The boolean
 // reports whether the packet matches; errors are impossible (mismatch is
 // the only failure mode).
@@ -33,8 +43,18 @@ func Decode(pkt *substrate.Packet, t ast.Type) (value.Value, bool) {
 	if !ok {
 		return value.Unit, false
 	}
-	elems := make([]value.Value, 0, len(tup.Elems))
+	rest := tup.Elems[1:]
+	isTCP := len(rest) > 0 && ast.Equal(rest[0], ast.TCPT)
+	isUDP := len(rest) > 0 && ast.Equal(rest[0], ast.UDPT)
+	if isTCP && pkt.TCP == nil || isUDP && pkt.UDP == nil {
+		return value.Unit, false
+	}
 
+	box := new(packetBox)
+	elems := box.elems[:0]
+	if len(tup.Elems) > len(box.elems) {
+		elems = make([]value.Value, 0, len(tup.Elems))
+	}
 	ipLen := substrate.IPHeaderLen + len(pkt.Payload)
 	switch {
 	case pkt.TCP != nil:
@@ -42,34 +62,31 @@ func Decode(pkt *substrate.Packet, t ast.Type) (value.Value, bool) {
 	case pkt.UDP != nil:
 		ipLen += substrate.UDPHeaderLen
 	}
-	elems = append(elems, value.IP(&value.IPHeader{
+	box.ip = value.IPHeader{
 		Src:   value.Host(pkt.IP.Src),
 		Dst:   value.Host(pkt.IP.Dst),
 		Proto: pkt.IP.Proto,
 		TTL:   pkt.IP.TTL,
 		Len:   ipLen,
 		ID:    pkt.IP.ID,
-	}))
+	}
+	elems = append(elems, value.IP(&box.ip))
 
-	rest := tup.Elems[1:]
-	if len(rest) > 0 && ast.Equal(rest[0], ast.TCPT) {
-		if pkt.TCP == nil {
-			return value.Unit, false
-		}
-		h := *pkt.TCP
-		elems = append(elems, value.TCP(&value.TCPHeader{
+	switch {
+	case isTCP:
+		h := pkt.TCP
+		box.tcp = value.TCPHeader{
 			SrcPort: h.SrcPort, DstPort: h.DstPort, Seq: h.Seq, Ack: h.Ack,
 			Flags: h.Flags, Window: h.Window,
-		}))
-		rest = rest[1:]
-	} else if len(rest) > 0 && ast.Equal(rest[0], ast.UDPT) {
-		if pkt.UDP == nil {
-			return value.Unit, false
 		}
-		h := *pkt.UDP
-		elems = append(elems, value.UDP(&value.UDPHeader{
+		elems = append(elems, value.TCP(&box.tcp))
+		rest = rest[1:]
+	case isUDP:
+		h := pkt.UDP
+		box.udp = value.UDPHeader{
 			SrcPort: h.SrcPort, DstPort: h.DstPort, Len: substrate.UDPHeaderLen + len(pkt.Payload),
-		}))
+		}
+		elems = append(elems, value.UDP(&box.udp))
 		rest = rest[1:]
 	}
 
@@ -137,13 +154,14 @@ func Decode(pkt *substrate.Packet, t ast.Type) (value.Value, bool) {
 // type the checker validated; malformed shapes return an error (engine
 // bug or adversarial program, never silent corruption).
 func Encode(v value.Value) (*substrate.Packet, error) {
-	if v.Kind != value.KindTuple || len(v.Vs) == 0 {
+	if v.Kind != value.KindTuple || v.Len() == 0 {
 		return nil, fmt.Errorf("planprt: packet value must be a tuple, got %s", v.Kind)
 	}
-	if v.Vs[0].Kind != value.KindIP {
-		return nil, fmt.Errorf("planprt: packet tuple must start with an ip header, got %s", v.Vs[0].Kind)
+	comps := v.Elems()
+	if comps[0].Kind != value.KindIP {
+		return nil, fmt.Errorf("planprt: packet tuple must start with an ip header, got %s", comps[0].Kind)
 	}
-	iph := v.Vs[0].AsIP()
+	iph := comps[0].AsIP()
 	pkt := &substrate.Packet{IP: substrate.IPHeader{
 		Src:   substrate.Addr(iph.Src),
 		Dst:   substrate.Addr(iph.Dst),
@@ -152,7 +170,7 @@ func Encode(v value.Value) (*substrate.Packet, error) {
 		ID:    iph.ID,
 	}}
 
-	rest := v.Vs[1:]
+	rest := comps[1:]
 	if len(rest) > 0 && rest[0].Kind == value.KindTCP {
 		h := rest[0].AsTCP()
 		pkt.TCP = &substrate.TCPHeader{

@@ -43,10 +43,10 @@ func TestCodecScalarPayload(t *testing.T) {
 	if !ok {
 		t.Fatal("decode failed")
 	}
-	if v.Vs[2].AsChar() != 'A' || v.Vs[3].AsInt() != 300 || !v.Vs[4].AsBool() {
+	if v.At(2).AsChar() != 'A' || v.At(3).AsInt() != 300 || !v.At(4).AsBool() {
 		t.Errorf("scalar decode wrong: %s", v)
 	}
-	if v.Vs[5].AsHost().String() != "10.0.0.9" || v.Vs[6].AsStr() != "hi" {
+	if v.At(5).AsHost().String() != "10.0.0.9" || v.At(6).AsStr() != "hi" {
 		t.Errorf("host/string decode wrong: %s", v)
 	}
 	back, err := Encode(v)
@@ -98,8 +98,8 @@ func TestCodecQuickRoundTrip(t *testing.T) {
 		if !ok {
 			return false
 		}
-		return v2.Vs[2].AsChar() == c && v2.Vs[3].AsInt() == int64(n) &&
-			bytes.Equal(v2.Vs[4].AsBlob(), blob)
+		return v2.At(2).AsChar() == c && v2.At(3).AsInt() == int64(n) &&
+			bytes.Equal(v2.At(4).AsBlob(), blob)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
